@@ -233,8 +233,11 @@ class Report {
                   name.c_str(), value, unit);
     json_ += buf;
   }
+  // Also on stderr, where a caller that keeps only the result line of
+  // stdout still sees why the run is not correct.
   void fail(const std::string& why) {
     std::printf("check FAILED: %s\n", why.c_str());
+    std::fprintf(stderr, "check FAILED: %s\n", why.c_str());
     correct_ = false;
   }
   bool correct() const { return correct_; }
@@ -268,21 +271,43 @@ class Report {
 // loop delays a burst of ops, whose latency still counts from the intended
 // time. The generator fell behind, and the offered load was not the one
 // configured, when the typical op went out late or 1% of them went out
-// more than 100 ms late; the run is then invalid.
+// more than 100 ms late; that phase is then invalid. A stall of the whole
+// guest (a shared host) does this too, without any fault of the program, so
+// an invalid phase is measured again on the same inputs, up to
+// kMaxRepeats times in a run, before the run is failed.
 constexpr double kMaxLateP50Us = 1000;
 constexpr double kMaxLateP99Us = 100000;
+constexpr int kMaxRepeats = 4;
 
-double check_generator(const std::vector<std::uint64_t>& late_ns,
-                       Report& report) {
-  const double late_p50_us = percentile(late_ns, 0.5) / 1e3;
-  const double late_p99_us = percentile(late_ns, 0.99) / 1e3;
-  const bool behind =
-      late_p50_us > kMaxLateP50Us || late_p99_us > kMaxLateP99Us;
-  std::printf("gen issued=%zu late_p50=%.1fus late_p99=%.1fus%s\n",
-              late_ns.size(), late_p50_us, late_p99_us,
-              behind ? "  (fell behind)" : "");
-  if (behind) report.fail("open-loop generator fell behind its schedule");
-  return late_p99_us;
+struct GenHealth {
+  double late_p50_us = 0;
+  double late_p99_us = 0;
+  bool behind = false;
+};
+
+GenHealth generator_health(const char* phase,
+                           const std::vector<std::uint64_t>& late_ns) {
+  GenHealth h;
+  h.late_p50_us = percentile(late_ns, 0.5) / 1e3;
+  h.late_p99_us = percentile(late_ns, 0.99) / 1e3;
+  h.behind = h.late_p50_us > kMaxLateP50Us || h.late_p99_us > kMaxLateP99Us;
+  std::printf("gen %s issued=%zu late_p50=%.1fus late_p99=%.1fus%s\n", phase,
+              late_ns.size(), h.late_p50_us, h.late_p99_us,
+              h.behind ? "  (fell behind)" : "");
+  return h;
+}
+
+// Counts one invalid phase; false once the run has used up its repeats.
+bool may_repeat(const char* phase, int& repeats, Report& report) {
+  if (repeats == kMaxRepeats) {
+    report.fail(std::string("open-loop generator fell behind its schedule ") +
+                std::to_string(kMaxRepeats + 1) + " times");
+    return false;
+  }
+  ++repeats;
+  std::fprintf(stderr, "note: %s: open-loop generator fell behind, phase "
+               "measured again\n", phase);
+  return true;
 }
 
 void print_latency(const char* phase, const OpenLoopResult& open) {
@@ -329,35 +354,46 @@ void run_end_to_end(const Args& args, const Workload& w, Report& report) {
     report.fail("warm-up failed");
   }
   OpStream closed_ops(w, args.seed);
+  int repeats = 0;
   for (int i = 0; i < kInstances && report.correct(); ++i) {
     Deployment d;
     const HostCpu host0 = HostCpu::now();
-    const double setup =
-        stand_up(d, w, args.workdir + "/wal/s" + std::to_string(i));
+    const std::string label = "instance " + std::to_string(i);
+    const double setup = stand_up(
+        d, w, args.workdir + "/wal/s" + std::to_string(i) + "." +
+                  std::to_string(repeats));
     if (setup < 0) {
       report.fail("preload failed");
       break;
     }
-    setups.push_back(setup);
 
     const ClosedLoopResult closed =
         run_closed_loop(d.loop(), *d.issuer, closed_ops, closed_s, kPipeline);
     total.add(closed.tally);
     const std::vector<double> measured(closed.interval_ops_per_sec.begin() + 1,
                                        closed.interval_ops_per_sec.end());
-    rates.push_back(mean(measured));
 
     // Open-loop inputs depend only on the seed and the instance, never on
-    // how many ops the closed loop got through.
+    // how many ops the closed loop got through or on repeats.
     OpStream open_ops(w, args.seed * 1000 + 2 * i + 1);
     const double cpu0 = process_cpu_s();
     const OpenLoopResult open =
         run_open_loop(d.loop(), *d.issuer, open_ops, w.open_rate, open_s,
                       args.seed * 1000 + 2 * i + 2);
-    cpus.push_back((process_cpu_s() - cpu0) * 1e6 /
+    const double cpu_s = process_cpu_s() - cpu0;
+    total.add(open.tally);
+    if (generator_health(label.c_str(), open.late_ns).behind) {
+      // Nothing this instance measured is kept; its values are still
+      // checked.
+      total.add(read_back(d.loop(), *d.issuer, kPipeline));
+      if (may_repeat(label.c_str(), repeats, report)) --i;
+      continue;
+    }
+    setups.push_back(setup);
+    rates.push_back(mean(measured));
+    cpus.push_back(cpu_s * 1e6 /
                    std::max<std::uint64_t>(1, open.tally.completed));
     p50s.push_back(percentile(open.latency_ns, 0.5) / 1e3);
-    total.add(open.tally);
     latency_ns.insert(latency_ns.end(), open.latency_ns.begin(),
                       open.latency_ns.end());
     late_ns.insert(late_ns.end(), open.late_ns.begin(), open.late_ns.end());
@@ -384,7 +420,7 @@ void run_end_to_end(const Args& args, const Workload& w, Report& report) {
     return;
   }
 
-  check_generator(late_ns, report);
+  generator_health("all instances", late_ns);
   const double p99_us = percentile(latency_ns, 0.99) / 1e3;
   std::printf("open loop p99=%.1fus (n=%zu, %zu beyond it)\n", p99_us,
               latency_ns.size(), latency_ns.size() / 100);
@@ -427,7 +463,6 @@ void run_traced(const Args& args, const Workload& w, Report& report) {
     return;
   }
   OpStream closed_ops(w, args.seed);
-  OpStream open_ops(w, args.seed * 1000 + 1);
   // A short closed loop first, as in --trace 0, so both open-loop phases
   // start from a warm group.
   total.add(run_closed_loop(d.loop(), *d.issuer, closed_ops, 0.2 * args.seconds,
@@ -435,37 +470,51 @@ void run_traced(const Args& args, const Workload& w, Report& report) {
                 .tally);
   const double half = 0.4 * args.seconds;
 
-  double cpu0 = process_cpu_s();
-  const OpenLoopResult plain =
-      run_open_loop(d.loop(), *d.issuer, open_ops, w.open_rate, half,
-                    args.seed * 1000 + 2);
-  const double cpu_plain = (process_cpu_s() - cpu0) /
-                           std::max<std::uint64_t>(1, plain.tally.completed);
-  total.add(plain.tally);
-  print_latency("untraced open loop", plain);
-
-  // The traced phase: registries are read before and after it, the client's
-  // own counters restart with it, and the recorder holds only its spans.
   TcpCluster& cluster = *d.cluster;
-  const Scrapes before = scrape_all(cluster);
-  d.loop().run_sync([&] { d.client->reset_stats(); });
-  recorder.clear();
-  recorder.set_enabled(true);
-  const std::uint64_t t_begin = obs::FlightRecorder::now_ns();
-  cpu0 = process_cpu_s();
-  const OpenLoopResult traced =
-      run_open_loop(d.loop(), *d.issuer, open_ops, w.open_rate, half,
-                    args.seed * 1000 + 3);
-  const double cpu_traced = (process_cpu_s() - cpu0) /
-                            std::max<std::uint64_t>(1, traced.tally.completed);
-  recorder.set_enabled(false);
-  const std::uint64_t t_end = obs::FlightRecorder::now_ns();
-  const Scrapes after = scrape_all(cluster);
-  const recipe::Histogram client_latency = d.client->latency_us();
-  const SpanWindow spans = span_window(recorder.snapshot(), t_begin, t_end);
-  total.add(traced.tally);
-  print_latency("traced open loop", traced);
-  const double late_p99_us = check_generator(traced.late_ns, report);
+  OpenLoopResult plain, traced;
+  double cpu_plain = 0, cpu_traced = 0, late_p99_us = 0;
+  Scrapes before, after;
+  recipe::Histogram client_latency;
+  SpanWindow spans;
+  for (int repeats = 0;;) {
+    OpStream open_ops(w, args.seed * 1000 + 1);
+    double cpu0 = process_cpu_s();
+    plain = run_open_loop(d.loop(), *d.issuer, open_ops, w.open_rate, half,
+                          args.seed * 1000 + 2);
+    cpu_plain = (process_cpu_s() - cpu0) /
+                std::max<std::uint64_t>(1, plain.tally.completed);
+    total.add(plain.tally);
+    print_latency("untraced open loop", plain);
+    const bool plain_behind =
+        generator_health("untraced", plain.late_ns).behind;
+
+    // The traced phase: registries are read before and after it, the
+    // client's own counters restart with it, and the recorder holds only
+    // its spans.
+    before = scrape_all(cluster);
+    d.loop().run_sync([&] { d.client->reset_stats(); });
+    recorder.clear();
+    recorder.set_enabled(true);
+    const std::uint64_t t_begin = obs::FlightRecorder::now_ns();
+    cpu0 = process_cpu_s();
+    traced = run_open_loop(d.loop(), *d.issuer, open_ops, w.open_rate, half,
+                           args.seed * 1000 + 3);
+    cpu_traced = (process_cpu_s() - cpu0) /
+                 std::max<std::uint64_t>(1, traced.tally.completed);
+    recorder.set_enabled(false);
+    const std::uint64_t t_end = obs::FlightRecorder::now_ns();
+    after = scrape_all(cluster);
+    client_latency = d.client->latency_us();
+    spans = span_window(recorder.snapshot(), t_begin, t_end);
+    total.add(traced.tally);
+    print_latency("traced open loop", traced);
+    const GenHealth gen = generator_health("traced", traced.late_ns);
+    late_p99_us = gen.late_p99_us;
+    // Both phases are measured again when either fell behind: the
+    // overhead ratio compares the two.
+    if (!plain_behind && !gen.behind) break;
+    if (!may_repeat("untraced and traced", repeats, report)) break;
+  }
 
   const Recovery rec = run_recovery(d, w.durable_wal ? 3 : 0, 3);
   for (const std::string& e : rec.errors) report.fail(e);
