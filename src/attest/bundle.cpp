@@ -135,4 +135,12 @@ Result<ProvisionInfo> open_and_install_bundle(tee::Enclave& enclave,
   return info;
 }
 
+Status install_group_secrets(tee::Enclave& enclave,
+                             const crypto::SymmetricKey& root,
+                             const crypto::SymmetricKey* value_key) {
+  const Status st = enclave.install_secret(kClusterRootName, root);
+  if (!st.is_ok() || value_key == nullptr) return st;
+  return enclave.install_secret(kValueKeyName, *value_key);
+}
+
 }  // namespace recipe::attest

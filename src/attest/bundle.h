@@ -60,4 +60,10 @@ Result<ProvisionInfo> open_and_install_bundle(tee::Enclave& enclave,
                                               BytesView sealed,
                                               BytesView context);
 
+// Pre-attested provisioning (a group builder holding the secrets stands in
+// for the CAS): installs the cluster root, plus `value_key` when non-null.
+Status install_group_secrets(tee::Enclave& enclave,
+                             const crypto::SymmetricKey& root,
+                             const crypto::SymmetricKey* value_key);
+
 }  // namespace recipe::attest

@@ -46,8 +46,6 @@ Result<ShardId> ShardedCluster::add_shard(const std::string& protocol) {
   group_options.confidentiality = options_.confidentiality;
   group_options.heartbeat_period = options_.heartbeat_period;
   group_options.cost_model = options_.cost_model;
-  group_options.root = options_.root;
-  group_options.value_key = options_.value_key;
 
   auto group = ShardGroup::create(simulator_, network_, platform_,
                                   std::move(group_options));

@@ -37,8 +37,6 @@ struct ClusterOptions {
   // NodeId space: shard k's replicas live at first_base_id + k * id_stride.
   std::uint64_t first_base_id = 1;
   std::uint64_t id_stride = 100;
-  crypto::SymmetricKey root{Bytes(32, 0x77)};
-  crypto::SymmetricKey value_key{Bytes(32, 0x44)};
   // Bound on driving the simulator to quiesce a key handoff.
   sim::Time handoff_timeout = 10 * sim::kSecond;
 };
@@ -73,8 +71,9 @@ class ShardedCluster {
   Status remove_shard(ShardId id);
 
   // Replica replacement: crash-recover replica `index` of `shard` through
-  // the shared §3.7 shadow machinery (ShardGroup::recover_replica) and
-  // drive the simulator until it promoted (or the handoff timeout passed).
+  // the §3.7 RejoinDriver (ShardGroup::recover_replica) and drive the
+  // simulator until it promoted (or the handoff timeout passed; the
+  // abandoned recovery is disarmed by the next one or by teardown).
   // Fresh-node listeners fire first, so client-side channel state resets
   // before the recovered replica's restarted counters reach them.
   Status recover_replica(ShardId shard, std::size_t index);

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "attest/bundle.h"
+#include "recipe/group.h"
 
 namespace recipe::cluster {
 
@@ -13,20 +13,14 @@ RoutedClient::RoutedClient(ShardedCluster& cluster, RoutedClientOptions options)
   // next free NodeId instead.
   while (cluster_.network().attached(NodeId{options_.id})) ++options_.id;
   const ClusterOptions& copts = cluster_.options();
+  GroupSettings group;
+  group.secured = copts.secured;
+  group.confidentiality = copts.confidentiality;
   enclave_ = std::make_unique<tee::Enclave>(cluster_.platform(),
                                             "recipe-client", options_.id);
-  if (copts.secured) {
-    (void)enclave_->install_secret(attest::kClusterRootName, copts.root);
-    if (copts.confidentiality) {
-      (void)enclave_->install_secret(attest::kValueKeyName, copts.value_key);
-    }
-  }
-  ClientOptions client_options;
-  client_options.id = ClientId{options_.id};
-  client_options.secured = copts.secured;
-  client_options.confidentiality = copts.confidentiality;
-  client_options.enclave = enclave_.get();
-  client_options.request_timeout = options_.request_timeout;
+  (void)group.provision(*enclave_);
+  ClientOptions client_options =
+      group.client(ClientId{options_.id}, enclave_.get());
   client_options.retry = options_.retry;
   client_options.metrics = options_.metrics;
   client_ = std::make_unique<KvClient>(cluster_.sim(), cluster_.network(),

@@ -25,10 +25,8 @@ struct RoutedClientOptions {
   // Bumped to the next free NodeId when already attached, so multiple
   // default-constructed clients coexist.
   std::uint64_t id = 5000;
-  sim::Time request_timeout = 500 * sim::kMillisecond;
-  // Retransmit policy forwarded to the underlying KvClient (timeout
-  // growth, decorrelated-jitter backoff, attempt/deadline budget);
-  // request_timeout above still pins the first attempt's timeout.
+  // Retransmit policy of the underlying KvClient (first-attempt timeout
+  // and growth, decorrelated-jitter backoff, attempt/deadline budget).
   rpc::RetryPolicy retry = ClientOptions{}.retry;
   // Bound on the *_sync helpers' simulator drive.
   sim::Time sync_wait = 10 * sim::kSecond;

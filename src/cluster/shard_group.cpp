@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cluster/registry.h"
-#include "recipe/recovery.h"
 
 namespace recipe::cluster {
 
@@ -26,11 +25,15 @@ Result<std::unique_ptr<ShardGroup>> ShardGroup::create(
   auto group = std::unique_ptr<ShardGroup>(
       new ShardGroup(simulator, network, std::move(options)));
   const ShardGroupOptions& opts = group->options_;
+  GroupSettings& settings = group->settings_;
+  settings.secured = opts.secured;
+  settings.confidentiality = opts.confidentiality;
+  settings.heartbeat_period = opts.heartbeat_period;
 
   for (std::size_t i = 0; i < opts.num_replicas; ++i) {
-    group->membership_.push_back(NodeId{opts.base_id + i});
+    settings.membership.push_back(NodeId{opts.base_id + i});
   }
-  for (NodeId id : group->membership_) {
+  for (NodeId id : settings.membership) {
     // SimNetwork::attach silently replaces an existing endpoint, which
     // would hijack a live node's traffic — refuse the collision instead.
     if (network.attached(id)) {
@@ -40,36 +43,16 @@ Result<std::unique_ptr<ShardGroup>> ShardGroup::create(
     }
     auto enclave =
         std::make_unique<tee::Enclave>(platform, "recipe-replica", id.value);
-    if (opts.secured) {
-      auto installed = enclave->install_secret(attest::kClusterRootName,
-                                               opts.root);
-      if (!installed.is_ok()) return installed;
-      if (opts.confidentiality) {
-        installed = enclave->install_secret(attest::kValueKeyName,
-                                            opts.value_key);
-        if (!installed.is_ok()) return installed;
-      }
-    }
+    const Status provisioned = settings.provision(*enclave);
+    if (!provisioned.is_ok()) return provisioned;
 
-    ReplicaOptions replica_options;
-    replica_options.self = id;
-    replica_options.membership = group->membership_;
-    replica_options.secured = opts.secured;
-    replica_options.confidentiality = opts.confidentiality;
-    replica_options.enclave = enclave.get();
+    ReplicaOptions replica_options = settings.replica(id, enclave.get());
     replica_options.cost_model = opts.cost_model;
-    replica_options.heartbeat_period = opts.heartbeat_period;
-    replica_options.stack = opts.secured
-                                ? net::NetStackParams::direct_io_tee()
-                                : net::NetStackParams::direct_io_native();
-    if (opts.confidentiality) {
-      replica_options.kv_config.value_encryption_key = opts.value_key;
-    }
-
     group->replicas_.push_back(
         (*factory)(simulator, network, std::move(replica_options)));
     group->enclaves_.push_back(std::move(enclave));
   }
+  group->drivers_.resize(opts.num_replicas);
   for (auto& replica : group->replicas_) replica->start();
   return group;
 }
@@ -91,43 +74,12 @@ void ShardGroup::recover_replica(
     return;
   }
   ReplicaNode& node = *replicas_[i];
-  tee::Enclave& enclave = *enclaves_[i];
   if (node.running()) {
     done(Status::error(ErrorCode::kAlreadyExists, "replica is running"));
     return;
   }
-
-  // Fresh enclave + pre-attested re-provisioning (the group stands in for
-  // the CAS: it holds the cluster root, exactly like the bootstrap path).
-  // The machine reboot also emptied the host process.
-  enclave.restart();
-  node.wipe_state();
-  if (options_.secured) {
-    auto installed = enclave.install_secret(attest::kClusterRootName,
-                                            options_.root);
-    if (!installed.is_ok()) {
-      done(installed);
-      return;
-    }
-    if (options_.confidentiality) {
-      installed = enclave.install_secret(attest::kValueKeyName,
-                                         options_.value_key);
-      if (!installed.is_ok()) {
-        done(installed);
-        return;
-      }
-    }
-  }
-  // The fast-path analog of the CAS fresh-node notice: every peer resets
-  // the rejoiner's channel counters and replay window.
-  for (auto& peer : replicas_) {
-    if (peer.get() != &node && peer->running()) {
-      peer->security().reset_peer(node.self());
-    }
-  }
-
-  // Donor: any active peer (nullopt when the rest of the group is down).
-  ReplicaNode* donor = nullptr;
+  // Donor: any active peer (none when the rest of the group is down).
+  const ReplicaNode* donor = nullptr;
   for (auto& peer : replicas_) {
     if (peer.get() != &node && peer->active()) {
       donor = peer.get();
@@ -139,27 +91,28 @@ void ShardGroup::recover_replica(
     return;
   }
 
-  node.start_as_shadow();
-  node.catch_up_from(
-      donor->self(), [this, &node, done](Result<std::size_t> streamed) {
-        if (!streamed) {
-          done(streamed.status());
-          return;
-        }
-        // Promote as soon as the protocol agrees (Raft waits for its log
-        // backfill); same poll cadence as the RejoinDriver defaults.
-        const RejoinOptions defaults;
-        await_promotion(simulator_, node, defaults.promote_poll,
-                        defaults.max_promote_polls,
-                        [done, streamed](bool promoted) {
-                          if (!promoted) {
-                            done(Status::error(ErrorCode::kTimeout,
-                                               "replica stuck in shadow"));
-                            return;
-                          }
-                          done(streamed.value());
-                        });
-      });
+  // The group stands in for the CAS (it holds the cluster root, exactly
+  // like the bootstrap path); every running peer resets the rejoiner's
+  // channel state.
+  std::vector<RejoinDriver::PeerReset> peers;
+  for (auto& peer : replicas_) {
+    if (peer.get() == &node) continue;
+    peers.push_back({&simulator_, [p = peer.get()](NodeId fresh) {
+                       if (p->running()) p->security().reset_peer(fresh);
+                     }});
+  }
+  drivers_[i] = std::make_unique<RejoinDriver>(simulator_, node, *enclaves_[i],
+                                               settings_, std::move(peers));
+  RejoinOptions options;
+  options.donor = donor->self();
+  drivers_[i]->rejoin(std::move(options),
+                      [done = std::move(done)](Result<RejoinReport> report) {
+                        if (!report) {
+                          done(report.status());
+                          return;
+                        }
+                        done(report.value().streamed_entries);
+                      });
 }
 
 NodeId ShardGroup::write_coordinator() const {
@@ -168,7 +121,7 @@ NodeId ShardGroup::write_coordinator() const {
       return replica->self();
     }
   }
-  return membership_.front();
+  return settings_.membership.front();
 }
 
 NodeId ShardGroup::read_replica(std::uint64_t hint) const {
@@ -178,7 +131,7 @@ NodeId ShardGroup::read_replica(std::uint64_t hint) const {
       eligible.push_back(replica->self());
     }
   }
-  if (eligible.empty()) return membership_.front();
+  if (eligible.empty()) return settings_.membership.front();
   return eligible[hint % eligible.size()];
 }
 

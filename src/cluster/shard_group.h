@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "attest/bundle.h"
 #include "common/result.h"
 #include "recipe/node_base.h"
+#include "recipe/recovery.h"
 #include "tee/enclave.h"
 #include "tee/platform.h"
 
@@ -33,12 +33,6 @@ struct ShardGroupOptions {
   bool confidentiality = false;
   sim::Time heartbeat_period = 0;
   const tee::TeeCostModel* cost_model = nullptr;
-  // Cluster root secret installed into every replica enclave; channel keys
-  // derive from it pairwise, so replicas of DIFFERENT groups (and clients)
-  // can authenticate each other — what makes cross-shard state handoff and
-  // a single routed client possible.
-  crypto::SymmetricKey root{};
-  crypto::SymmetricKey value_key{};  // used when confidentiality
 };
 
 class ShardGroup {
@@ -55,18 +49,20 @@ class ShardGroup {
   // Crash-stops one replica (targeted failure injection).
   void stop_replica(std::size_t i);
 
-  // Recovers replica `i` through the SAME shadow machinery the protocols
-  // use for §3.7 rejoin: restart the enclave, re-provision it over the
-  // pre-attested fast path (the group owns the cluster root, standing in
-  // for the CAS like the harness does at bootstrap), reset the peers'
-  // channel state for it, rejoin as a shadow, stream state from an active
-  // peer to fixpoint, and promote once the protocol reports caught-up.
-  // `done` receives the number of state entries installed.
+  // Recovers replica `i` through the §3.7 RejoinDriver with pre-attested
+  // provisioning (the group owns the cluster root, standing in for the CAS
+  // as at bootstrap): restart and re-provision the enclave, reset the peers'
+  // channel state for it, shadow-join, stream state from an active peer and
+  // promote once the protocol reports caught-up. `done` receives the number
+  // of state entries installed. A later call for the replica, or the
+  // group's destruction, abandons a recovery still in flight.
   void recover_replica(std::size_t i,
                        std::function<void(Result<std::size_t>)> done);
 
   const std::string& protocol() const { return options_.protocol; }
-  const std::vector<NodeId>& membership() const { return membership_; }
+  const std::vector<NodeId>& membership() const {
+    return settings_.membership;
+  }
   std::size_t size() const { return replicas_.size(); }
   ReplicaNode& replica(std::size_t i) { return *replicas_[i]; }
   const ReplicaNode& replica(std::size_t i) const { return *replicas_[i]; }
@@ -117,9 +113,11 @@ class ShardGroup {
   sim::Simulator& simulator_;
   net::SimNetwork& network_;
   ShardGroupOptions options_;
-  std::vector<NodeId> membership_;
+  GroupSettings settings_;
   std::vector<std::unique_ptr<tee::Enclave>> enclaves_;
   std::vector<std::unique_ptr<ReplicaNode>> replicas_;
+  // Replica i's latest rejoin; destroyed before the nodes, which disarms it.
+  std::vector<std::unique_ptr<RejoinDriver>> drivers_;
 };
 
 }  // namespace recipe::cluster

@@ -1,7 +1,8 @@
 #include "cluster/tcp_cluster.h"
 
-#include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <thread>
 
@@ -17,15 +18,32 @@ constexpr const char* kLoopback = "127.0.0.1";
 std::chrono::nanoseconds chrono_ns(sim::Time t) {
   return std::chrono::nanoseconds(t);
 }
+
+// Construction failures are unrecoverable: abort naming the cause in every
+// build type (an assert compiles out under NDEBUG).
+[[noreturn]] void die(const std::string& what) {
+  std::fprintf(stderr, "TcpCluster: %s\n", what.c_str());
+  std::abort();
+}
+
+void check(const Status& status, const std::string& what) {
+  if (!status.is_ok()) die(what + ": " + status.message());
+}
 }  // namespace
 
 TcpCluster::TcpCluster(TcpClusterOptions options)
     : options_(std::move(options)) {
   const auto* factory = ProtocolRegistry::instance().find(options_.protocol);
-  assert(factory != nullptr && "unknown protocol");
+  if (factory == nullptr) die("unknown protocol: " + options_.protocol);
 
+  group_.secured = options_.secured;
+  group_.confidentiality = options_.confidentiality;
+  group_.heartbeat_period = options_.heartbeat_period;
+  group_.suspect_timeout = options_.suspect_timeout;
+  group_.phi_threshold = options_.phi_threshold;
+  group_.batch = options_.batch;
   for (std::size_t i = 0; i < options_.replicas; ++i) {
-    membership_.push_back(NodeId{options_.first_id + i});
+    group_.membership.push_back(NodeId{options_.first_id + i});
   }
 
   // Registries first: every component below registers series into them (or
@@ -49,15 +67,13 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
     transport_options.transport.metrics = metrics_[i].get();
     transports_.push_back(
         std::make_unique<transport::ShardedTcpTransport>(transport_options));
-    const Status pinned = transports_.back()->pin_home(membership_[i], 0);
-    assert(pinned.is_ok());
-    (void)pinned;
+    check(transports_.back()->pin_home(group_.membership[i], 0), "pin_home");
     const std::uint16_t want =
         options_.base_port == 0
             ? 0
             : static_cast<std::uint16_t>(options_.base_port + i);
-    auto port = transports_.back()->listen(membership_[i], want);
-    assert(port.is_ok() && "listen failed");
+    auto port = transports_.back()->listen(group_.membership[i], want);
+    check(port.status(), "listen on port " + std::to_string(want));
     ports[i] = port.value();
   }
   transport_options.transport.metrics = client_metrics_.get();
@@ -66,15 +82,11 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
   for (std::size_t i = 0; i < options_.replicas; ++i) {
     for (std::size_t j = 0; j < options_.replicas; ++j) {
       if (i == j) continue;
-      const Status routed =
-          transports_[i]->add_route(membership_[j], kLoopback, ports[j]);
-      assert(routed.is_ok());
-      (void)routed;
+      const NodeId peer = group_.membership[j];
+      check(transports_[i]->add_route(peer, kLoopback, ports[j]), "add_route");
     }
-    const Status routed =
-        client_transport_->add_route(membership_[i], kLoopback, ports[i]);
-    assert(routed.is_ok());
-    (void)routed;
+    const NodeId self = group_.membership[i];
+    check(client_transport_->add_route(self, kLoopback, ports[i]), "add_route");
   }
 
   // Chaos: wrap every transport before any node or client attaches, so the
@@ -110,6 +122,7 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
   // Build and start every replica ON ITS OWN LOOP THREAD so its endpoint
   // state is loop-affine from the first instruction (packets can arrive the
   // moment the rpc object attaches).
+  drivers_.resize(options_.replicas);
   for (std::size_t i = 0; i < options_.replicas; ++i) {
     platforms_.push_back(std::make_unique<tee::TeePlatform>(1));
     enclaves_.push_back(nullptr);
@@ -124,31 +137,11 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
     }
     transports_[i]->run_sync([this, i, factory] {
       auto enclave = std::make_unique<tee::Enclave>(
-          *platforms_[i], "recipe-replica", membership_[i].value);
-      if (options_.secured) {
-        auto ok = enclave->install_secret(attest::kClusterRootName,
-                                          options_.root);
-        assert(ok.is_ok());
-        if (options_.confidentiality) {
-          ok = enclave->install_secret(attest::kValueKeyName,
-                                       options_.value_key);
-          assert(ok.is_ok());
-        }
-      }
+          *platforms_[i], "recipe-replica", group_.membership[i].value);
+      check(group_.provision(*enclave), "provisioning a replica enclave");
 
-      ReplicaOptions replica_options;
-      replica_options.self = membership_[i];
-      replica_options.membership = membership_;
-      replica_options.secured = options_.secured;
-      replica_options.confidentiality = options_.confidentiality;
-      replica_options.enclave = enclave.get();
-      replica_options.heartbeat_period = options_.heartbeat_period;
-      replica_options.suspect_timeout = options_.suspect_timeout;
-      replica_options.phi_threshold = options_.phi_threshold;
-      replica_options.batch = options_.batch;
-      if (options_.confidentiality) {
-        replica_options.kv_config.value_encryption_key = options_.value_key;
-      }
+      ReplicaOptions replica_options =
+          group_.replica(group_.membership[i], enclave.get());
       if (wal_storage_[i] != nullptr) {
         replica_options.wal_storage = wal_storage_[i].get();
         replica_options.wal = options_.wal;
@@ -173,7 +166,7 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
       admin_options.metrics = metrics_[i].get();
       admin_options.recorder = &obs::FlightRecorder::global();
       admin_options.name =
-          "replica-" + std::to_string(membership_[i].value);
+          "replica-" + std::to_string(group_.membership[i].value);
       admin_.push_back(std::make_unique<obs::AdminServer>(admin_options));
     }
   }
@@ -202,6 +195,7 @@ TcpCluster::~TcpCluster() {
   client_enclaves_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     transports_[i]->run_sync([this, i] {
+      drivers_[i].reset();
       nodes_[i].reset();
       enclaves_[i].reset();
     });
@@ -216,30 +210,14 @@ KvClient& TcpCluster::add_client(std::uint64_t client_id) {
   // and every later touch marshals through client_home().
   const std::size_t home =
       clients_.size() % client_transport_->shard_count();
-  const Status pinned = client_transport_->pin_home(NodeId{client_id}, home);
-  assert(pinned.is_ok());
-  (void)pinned;
+  check(client_transport_->pin_home(NodeId{client_id}, home), "pin_home");
   client_homes_.push_back(home);
   client_transport_->shard(home).run_sync([this, client_id, home, &out] {
     auto enclave = std::make_unique<tee::Enclave>(client_platform_,
                                                   "recipe-client", client_id);
-    if (options_.secured) {
-      auto ok = enclave->install_secret(attest::kClusterRootName,
-                                        options_.root);
-      assert(ok.is_ok());
-      if (options_.confidentiality) {
-        ok = enclave->install_secret(attest::kValueKeyName,
-                                     options_.value_key);
-        assert(ok.is_ok());
-      }
-    }
-    ClientOptions client_options;
-    client_options.id = ClientId{client_id};
-    client_options.secured = options_.secured;
-    client_options.confidentiality = options_.confidentiality;
-    client_options.enclave = enclave.get();
-    client_options.request_timeout = options_.request_timeout;
-    client_options.max_retries = options_.max_retries;
+    check(group_.provision(*enclave), "provisioning a client enclave");
+    ClientOptions client_options =
+        group_.client(ClientId{client_id}, enclave.get());
     client_options.retry = options_.client_retry;
     client_options.metrics = client_metrics_.get();
     client_enclaves_.push_back(std::move(enclave));
@@ -264,9 +242,9 @@ NodeId TcpCluster::write_coordinator() {
     transports_[i]->run_sync([this, i, &ok] {
       ok = nodes_[i] && nodes_[i]->active() && nodes_[i]->coordinates_writes();
     });
-    if (ok) return membership_[i];
+    if (ok) return group_.membership[i];
   }
-  return membership_.front();
+  return group_.membership.front();
 }
 
 NodeId TcpCluster::read_replica() {
@@ -275,9 +253,9 @@ NodeId TcpCluster::read_replica() {
     transports_[i]->run_sync([this, i, &ok] {
       ok = nodes_[i] && nodes_[i]->active() && nodes_[i]->coordinates_reads();
     });
-    if (ok) return membership_[i];
+    if (ok) return group_.membership[i];
   }
-  return membership_.front();
+  return group_.membership.front();
 }
 
 ClientReply TcpCluster::put(KvClient& client, const std::string& key,
@@ -316,9 +294,10 @@ ClientReply TcpCluster::retry_op(KvClient& client, bool is_put,
         client.get(target, key, std::move(completion));
       }
     });
-    const auto bound =
-        chrono_ns(options_.request_timeout) * (options_.max_retries + 1) +
-        std::chrono::seconds(2);
+    const rpc::RetryPolicy& client_retry = options_.client_retry;
+    const auto bound = chrono_ns(client_retry.initial_timeout) *
+                           (client_retry.max_attempts + 1) +
+                       std::chrono::seconds(2);
     if (future.wait_for(bound) != std::future_status::ready) {
       // Lost completion (a bug, not load): label it so callers don't see a
       // default reply whose error claims kOk.
@@ -347,110 +326,55 @@ void TcpCluster::crash(std::size_t i) {
 
 Status TcpCluster::rejoin(std::size_t i, NodeId donor, sim::Time max_wait,
                           bool* warm_out) {
-  ReplicaNode& node = *nodes_[i];
   if (warm_out != nullptr) *warm_out = false;
   bool running = false;
-  transports_[i]->run_sync([&] { running = node.running(); });
+  transports_[i]->run_sync([&] { running = nodes_[i]->running(); });
   if (running) {
     return Status::error(ErrorCode::kAlreadyExists, "replica is running");
   }
 
-  // 1. Machine reboot: fresh enclave (same identity), empty host process.
-  //    Cheap-restart fast path first (durable_wal + clean shutdown): the
-  //    node restores secrets/counters from the sealed marker and replays
-  //    its own log — no re-provisioning, no peer channel resets, no stream.
-  bool warm = false;
-  transports_[i]->run_sync([&] {
-    enclaves_[i]->restart();
-    node.wipe_state();
-    if (node.has_wal()) {
-      if (node.warm_restart().is_ok()) {
-        warm = true;
-      } else {
-        node.wipe_state();  // partial replay must not leak into the cold path
-      }
-    }
-  });
-  if (warm) {
-    if (warm_out != nullptr) *warm_out = true;
-    return Status::ok();
-  }
-
-  //    Cold path: pre-attested re-provisioning — the cluster stands in for
-  //    the CAS.
-  Status provision = Status::ok();
-  transports_[i]->run_sync([&] {
-    if (options_.secured) {
-      provision = enclaves_[i]->install_secret(attest::kClusterRootName,
-                                               options_.root);
-      if (provision.is_ok() && options_.confidentiality) {
-        provision = enclaves_[i]->install_secret(attest::kValueKeyName,
-                                                 options_.value_key);
-      }
-    }
-  });
-  if (!provision.is_ok()) return provision;
-
-  // 2. The fast-path analog of the CAS fresh-node notice: every live peer
-  //    AND every client resets the rejoiner's channel state BEFORE its
-  //    restarted counters can reach them.
+  // The cluster stands in for the CAS: the driver re-installs the group's
+  // secrets, then every live peer AND every client resets the rejoiner's
+  // channel state on its own loop before the shadow join.
+  std::vector<RejoinDriver::PeerReset> peers;
   for (std::size_t j = 0; j < nodes_.size(); ++j) {
     if (j == i) continue;
-    transports_[j]->run_sync([this, j, &node] {
-      if (nodes_[j]->running()) nodes_[j]->security().reset_peer(node.self());
-    });
+    peers.push_back({&transports_[j]->clock(), [this, j](NodeId fresh) {
+                       if (nodes_[j]->running()) {
+                         nodes_[j]->security().reset_peer(fresh);
+                       }
+                     }});
   }
   for (std::size_t c = 0; c < clients_.size(); ++c) {
-    client_home(c).run_sync([this, c, &node] {
-      clients_[c]->security().reset_peer(node.self());
-    });
+    peers.push_back({&client_home(c).clock(), [this, c](NodeId fresh) {
+                       clients_[c]->security().reset_peer(fresh);
+                     }});
   }
 
-  // 3-6. Shadow join, chunked catch-up from the donor over TCP, promotion —
-  //      all driven on the node's own loop thread.
-  auto verdict = std::make_shared<std::promise<Status>>();
+  auto verdict = std::make_shared<std::promise<Result<RejoinReport>>>();
   auto future = verdict->get_future();
-  // The promotion poll's callbacks capture `node` by reference. The handle
-  // makes every armed timer cancellable, so a caller that gives up on the
-  // rejoin (max_wait) can guarantee nothing fires into a node it is about
-  // to destroy. `abandoned` (loop-thread confined) closes the other half of
-  // that race: cancelling the handle alone would not stop a still-queued
-  // catch-up completion from arming a FRESH timer through it afterwards.
-  auto poll = std::make_shared<sim::TimerHandle>();
-  auto abandoned = std::make_shared<bool>(false);
-  transports_[i]->run_sync([this, i, donor, &node, verdict, poll, abandoned] {
-    node.start_as_shadow();
-    node.catch_up_from(
-        donor, [this, i, &node, verdict, poll,
-                abandoned](Result<std::size_t> streamed) {
-          if (*abandoned) return;  // caller timed out: node may be dying
-          if (!streamed) {
-            verdict->set_value(streamed.status());
-            return;
-          }
-          const RejoinOptions defaults;
-          await_promotion(transports_[i]->clock(), node, defaults.promote_poll,
-                          defaults.max_promote_polls,
-                          [verdict](bool promoted) {
-                            verdict->set_value(
-                                promoted ? Status::ok()
-                                         : Status::error(
-                                               ErrorCode::kTimeout,
-                                               "replica stuck in shadow"));
-                          },
-                          poll);
-        });
+  transports_[i]->run_sync([&] {
+    drivers_[i] = std::make_unique<RejoinDriver>(
+        transports_[i]->clock(), *nodes_[i], *enclaves_[i], group_,
+        std::move(peers));
+    RejoinOptions options;
+    options.donor = donor;
+    drivers_[i]->rejoin(std::move(options),
+                        [verdict](Result<RejoinReport> report) {
+                          verdict->set_value(std::move(report));
+                        });
   });
   if (future.wait_for(chrono_ns(max_wait)) != std::future_status::ready) {
-    // Disarm on the loop thread (TimerHandle isn't thread-safe against the
-    // queue) BEFORE handing control back: the caller may destroy the node.
-    transports_[i]->run_sync([poll, abandoned] {
-      *abandoned = true;
-      poll->cancel();
-    });
+    // Abandon on the node's loop BEFORE handing control back: destroying
+    // the driver disarms everything it armed, and the caller may destroy
+    // the node next.
+    transports_[i]->run_sync([this, i] { drivers_[i].reset(); });
     return Status::error(ErrorCode::kTimeout, "rejoin did not complete");
   }
-  return future.get();
+  auto report = future.get();
+  if (!report) return report.status();
+  if (warm_out != nullptr) *warm_out = report.value().warm_restart;
+  return Status::ok();
 }
 
 Status TcpCluster::shutdown_clean(std::size_t i) {

@@ -11,10 +11,12 @@
 //
 // Replica enclaves are provisioned over the pre-attested fast path (the
 // cluster holds the cluster root, standing in for the CAS exactly like
-// ShardGroup does at bootstrap), and crash/rejoin reuses the §3.7 shadow
-// machinery end-to-end: rejoin() restarts the enclave, resets every peer's
-// and client's channel state for the fresh node, shadow-joins, streams
-// state from a live donor over TCP and promotes when the protocol agrees.
+// ShardGroup does at bootstrap), and rejoin() runs the same §3.7
+// RejoinDriver as every other builder, with pre-attested provisioning: it
+// restarts the enclave, re-installs the secrets, resets every peer's and
+// client's channel state for the fresh node (each on its own loop),
+// shadow-joins, streams state from a live donor over TCP and promotes when
+// the protocol agrees.
 //
 // Threading rules: each node's callbacks run only on its own loop thread.
 // Public methods here marshal through TcpTransport::run_sync, so callers
@@ -28,13 +30,13 @@
 #include <string>
 #include <vector>
 
-#include "attest/bundle.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "obs/admin.h"
 #include "obs/metrics.h"
 #include "recipe/client.h"
 #include "recipe/node_base.h"
+#include "recipe/recovery.h"
 #include "rpc/retry.h"
 #include "tee/platform.h"
 #include "transport/chaos.h"
@@ -58,15 +60,14 @@ struct TcpClusterOptions {
   // 0: every listener picks an ephemeral loopback port (tests/benches can
   // never collide); nonzero: replica i listens on base_port + i.
   std::uint16_t base_port = 0;
-  crypto::SymmetricKey root{Bytes(32, 0x77)};
-  crypto::SymmetricKey value_key{Bytes(32, 0x44)};
-  // Client request knobs (real-time).
-  sim::Time request_timeout = 500 * sim::kMillisecond;
-  int max_retries = 6;
-  // Retransmit policy detail forwarded to every KvClient (timeout growth,
-  // backoff jitter, deadline); the two knobs above still pin the first
-  // attempt's timeout and the attempt budget.
-  rpc::RetryPolicy client_retry = ClientOptions{}.retry;
+  // Retransmit policy of every KvClient (real time): the KvClient default
+  // with a 6-attempt budget. retry_op bounds a lost completion by
+  // initial_timeout x (max_attempts + 1) + 2 s.
+  rpc::RetryPolicy client_retry = [] {
+    rpc::RetryPolicy policy = ClientOptions{}.retry;
+    policy.max_attempts = 6;
+    return policy;
+  }();
   // Re-route policy for the synchronous put()/get() helpers: how many times
   // retry_op re-resolves the coordinator, with decorrelated-jitter sleeps
   // between attempts. Fatal reply classifications stop the loop early.
@@ -120,8 +121,9 @@ struct TcpClusterOptions {
 
 class TcpCluster {
  public:
-  // Stands up and starts the whole group; aborts on an unknown protocol
-  // (programming error, like ShardedCluster's shard() contract).
+  // Stands up and starts the whole group. Aborts with a message naming the
+  // cause, in every build type, on an unknown protocol or a failed listen,
+  // route or enclave provisioning (like ShardedCluster's shard() contract).
   explicit TcpCluster(TcpClusterOptions options = {});
   ~TcpCluster();
 
@@ -129,7 +131,7 @@ class TcpCluster {
   TcpCluster& operator=(const TcpCluster&) = delete;
 
   std::size_t size() const { return nodes_.size(); }
-  const std::vector<NodeId>& membership() const { return membership_; }
+  const std::vector<NodeId>& membership() const { return group_.membership; }
   ReplicaNode& node(std::size_t i) { return *nodes_[i]; }
   // Replica i's transport (aggregate stats, chaos resets, wiring). Replica
   // endpoints live on its shard 0; run_on() marshals there.
@@ -192,8 +194,8 @@ class TcpCluster {
   // shutdown behind it the node warm-restarts locally (no re-provisioning,
   // no peer resets, no state stream); otherwise the full pre-attested
   // shadow rejoin streams from `donor`. Returns once the node is active
-  // (or the first error / `max_wait` — a timeout cancels the promotion
-  // poll so its node-capturing callbacks cannot outlive the caller).
+  // (or the first error / `max_wait` — a timeout destroys the rejoin's
+  // driver, so none of its node-capturing callbacks outlive the caller).
   // `warm_out` (optional) reports which path ran.
   Status rejoin(std::size_t i, NodeId donor,
                 sim::Time max_wait = 30 * sim::kSecond,
@@ -221,7 +223,8 @@ class TcpCluster {
   net::Transport& client_net();
 
   TcpClusterOptions options_;
-  std::vector<NodeId> membership_;
+  // What every replica and client is wired from; rejoins re-provision it.
+  GroupSettings group_;
   // Declared before every component that registers series or holds handles
   // (transports, nodes, clients): registries must be destroyed LAST.
   std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics_;
@@ -236,6 +239,8 @@ class TcpCluster {
   // Declared before nodes_: a node's Wal holds a reference into its storage.
   std::vector<std::unique_ptr<kv::FileWalStorage>> wal_storage_;
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
+  // Replica i's latest rejoin, touched only on replica i's loop.
+  std::vector<std::unique_ptr<RejoinDriver>> drivers_;
 
   std::unique_ptr<transport::ShardedTcpTransport> client_transport_;
   std::unique_ptr<transport::ChaosTransport> client_chaos_;

@@ -10,12 +10,8 @@ KvClient::KvClient(sim::Clock& clock, net::Transport& network,
                    ClientOptions options)
     : clock_(clock),
       options_(std::move(options)),
-      policy_(options_.retry),
       rpc_(clock, network, NodeId{options_.id.value}, options_.stack),
       backoff_rng_(0x9E3779B97F4A7C15ULL ^ options_.id.value) {
-  // The long-standing basic knobs win over the policy's own values.
-  policy_.initial_timeout = options_.request_timeout;
-  policy_.max_attempts = options_.max_retries;
   if (options_.metrics != nullptr && options_.metrics->enabled()) {
     obs::MetricsRegistry& m = *options_.metrics;
     ops_issued_ = m.counter("recipe_client_ops_issued_total");
@@ -101,15 +97,15 @@ void KvClient::fail(const std::shared_ptr<RetryState>& state, ErrorCode why) {
 void KvClient::schedule_retry(NodeId coordinator,
                               std::shared_ptr<RetryState> state, int attempt,
                               ErrorCode why) {
-  if (attempt >= policy_.max_attempts) {
+  if (attempt >= options_.retry.max_attempts) {
     fail(state, why);
     return;
   }
   const sim::Time backoff =
-      policy_.next_backoff(state->prev_backoff, backoff_rng_);
+      options_.retry.next_backoff(state->prev_backoff, backoff_rng_);
   state->prev_backoff = backoff;
-  if (policy_.deadline > 0 &&
-      clock_.now() + backoff > state->started + policy_.deadline) {
+  if (options_.retry.deadline > 0 &&
+      clock_.now() + backoff > state->started + options_.retry.deadline) {
     fail(state, why);
     return;
   }
@@ -250,7 +246,7 @@ void KvClient::issue(NodeId coordinator, std::shared_ptr<RetryState> state,
         }
         handler(env.value());
       },
-      policy_.attempt_timeout(attempt),
+      options_.retry.attempt_timeout(attempt),
       [this, rpc_id, coordinator, state, attempt] {
         pending_replies_.erase(rpc_id);
         schedule_retry(coordinator, state, attempt + 1, ErrorCode::kTimeout);

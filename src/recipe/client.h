@@ -34,16 +34,11 @@ struct ClientOptions {
   bool secured = true;
   bool confidentiality = false;
   tee::Enclave* enclave = nullptr;  // required when secured
-  // Long-standing basic knobs: request_timeout is the FIRST attempt's
-  // response timeout, max_retries the total attempt budget. They override
-  // retry.initial_timeout / retry.max_attempts.
-  sim::Time request_timeout = 500 * sim::kMillisecond;
-  int max_retries = 3;
-  // The rest of the retransmit policy: per-attempt timeout growth, backoff
-  // jitter between retransmits, whole-op deadline. Defaults keep backoff
-  // tiny so existing timing-sensitive deployments see retransmits at
-  // essentially the historical cadence (plus jitter that de-synchronizes
-  // retry storms).
+  // Retransmit policy: first attempt's response timeout and its growth,
+  // attempt budget, backoff jitter between retransmits, whole-op deadline.
+  // Defaults keep backoff tiny so existing timing-sensitive deployments see
+  // retransmits at essentially the historical cadence (plus jitter that
+  // de-synchronizes retry storms).
   rpc::RetryPolicy retry{
       .initial_timeout = 500 * sim::kMillisecond,
       .timeout_growth = 1.0,
@@ -126,7 +121,6 @@ class KvClient {
 
   sim::Clock& clock_;
   ClientOptions options_;
-  rpc::RetryPolicy policy_;  // options_.retry with the legacy knobs folded in
   rpc::RpcObject rpc_;
   std::unique_ptr<SecurityPolicy> security_;
   // Deterministic per-client stream for backoff jitter (sim runs replay).

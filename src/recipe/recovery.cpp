@@ -2,44 +2,30 @@
 
 namespace recipe {
 
-void await_promotion(sim::Clock& clock, ReplicaNode& node,
-                     sim::Time interval, std::size_t max_polls,
-                     std::function<void(bool)> done,
-                     std::shared_ptr<sim::TimerHandle> handle) {
-  if (node.shadow_caught_up()) {
-    node.promote();
-    done(true);
-    return;
-  }
-  if (max_polls == 0) {
-    done(false);
-    return;
-  }
-  // Every armed timer is published through `handle` BEFORE control returns:
-  // the callback captures `node` by reference, so without a cancellable
-  // handle a caller destroying the node mid-poll leaves a use-after-free
-  // waiting on the timer wheel.
-  auto timer = clock.schedule(
-      interval, [&clock, &node, interval, max_polls, handle,
-                 done = std::move(done)]() mutable {
-        await_promotion(clock, node, interval, max_polls - 1, std::move(done),
-                        std::move(handle));
-      });
-  if (handle != nullptr) *handle = std::move(timer);
-}
-
 RejoinDriver::RejoinDriver(sim::Clock& clock, ReplicaNode& node,
                            tee::Enclave& enclave,
                            attest::AttestationAuthority& cas)
-    : clock_(clock), node_(node), enclave_(enclave), cas_(cas) {}
+    : clock_(clock), node_(node), enclave_(enclave), cas_(&cas) {}
+
+RejoinDriver::RejoinDriver(sim::Clock& clock, ReplicaNode& node,
+                           tee::Enclave& enclave, const GroupSettings& group,
+                           std::vector<PeerReset> peers)
+    : clock_(clock),
+      node_(node),
+      enclave_(enclave),
+      group_(&group),
+      peers_(std::move(peers)) {}
 
 RejoinDriver::~RejoinDriver() {
-  if (promote_poll_ != nullptr) promote_poll_->cancel();
+  if (live_ != nullptr) *live_ = false;
 }
 
 void RejoinDriver::rejoin(RejoinOptions options, Done done) {
   options_ = std::move(options);
   report_ = RejoinReport{};
+  done_ = std::move(done);
+  if (live_ != nullptr) *live_ = false;
+  live_ = std::make_shared<std::atomic<bool>>(true);
 
   // 1. Fresh enclave: identity preserved, all volatile state gone — and the
   // machine reboot also emptied the host process (KV store, dedup table).
@@ -49,9 +35,9 @@ void RejoinDriver::rejoin(RejoinOptions options, Done done) {
   // 1b. Cheap-restart fast path (sealed group-commit WAL): after a CLEAN
   // shutdown the marker validates against the hardware counter, the enclave
   // state (secrets + exact counters) restores from it, and the KV replays
-  // locally — zero CAS round trips, zero peer state-stream entries. Any
-  // failure (crash: no marker; tampered log; rolled-back marker) degrades
-  // to the full attested sequence below.
+  // locally — zero provisioning round trips, zero peer state-stream entries.
+  // Any failure (crash: no marker; tampered log; rolled-back marker)
+  // degrades to the full sequence below.
   if (node_.has_wal()) {
     auto warm = node_.warm_restart();
     if (warm.is_ok()) {
@@ -59,12 +45,16 @@ void RejoinDriver::rejoin(RejoinOptions options, Done done) {
       report_.snapshot_entries = warm.value().snapshot_entries;
       report_.wal_entries = warm.value().log_entries;
       report_.promoted = true;  // resumed ACTIVE, never a shadow
-      done(report_);
+      finish(report_);
       return;
     }
     // Partial replay may have installed entries before failing: the cold
     // path must start from the same empty store a reboot leaves behind.
     node_.wipe_state();
+  }
+  if (cas_ == nullptr) {
+    provision_pre_attested();
+    return;
   }
   // The machine is back on the network (it must answer the CAS challenge),
   // but the node stays stopped until provisioning succeeds.
@@ -73,19 +63,53 @@ void RejoinDriver::rejoin(RejoinOptions options, Done done) {
 
   // 2. Re-attest and re-provision through the CAS; on success the CAS has
   // already broadcast the fresh-node notice to the peers.
-  cas_.attest_and_provision(
+  cas_->attest_and_provision(
       node_.self(), node_.self(), /*full_member=*/true,
-      [this, done = std::move(done)](Status status, sim::Time elapsed) mutable {
+      [this, live = live_](Status status, sim::Time elapsed) {
+        if (!*live) return;
         report_.attestation_elapsed = elapsed;
         if (!status.is_ok()) {
-          done(status);
+          finish(status);
           return;
         }
-        on_provisioned(std::move(done));
+        on_provisioned();
       });
 }
 
-void RejoinDriver::on_provisioned(Done done) {
+void RejoinDriver::provision_pre_attested() {
+  // 2. Pre-attested: re-install the group's secrets, then the analog of the
+  // CAS fresh-node notice — each peer resets the node's channel state on its
+  // own loop and acks on the driver's. The node stays stopped until every
+  // ack arrived, so its restarted counters never meet an old replay window.
+  const Status installed = group_->provision(enclave_);
+  if (!installed.is_ok()) {
+    finish(installed);
+    return;
+  }
+  resets_pending_ = peers_.size();
+  if (resets_pending_ == 0) {
+    on_provisioned();
+    return;
+  }
+  auto ack = [this, live = live_] {
+    if (!*live || --resets_pending_ > 0) return;
+    on_provisioned();
+  };
+  sim::Clock* home = &clock_;
+  const NodeId fresh = node_.self();
+  for (const PeerReset& peer : peers_) {
+    // Runs on the peer's loop, where the driver may die under it: it
+    // touches only what it captured, never `this`.
+    auto reset = [live = live_, home, ack, fresh, fn = peer.reset] {
+      if (!*live) return;
+      fn(fresh);
+      home->schedule(0, ack);
+    };
+    peer.clock->schedule(0, std::move(reset));
+  }
+}
+
+void RejoinDriver::on_provisioned() {
   // 3. Warm start from the sealed snapshot, when one survived on untrusted
   // storage. A rollback (stale blob) is NOT fatal: the stat is pinned and
   // the stream below rebuilds the state from the live cluster instead.
@@ -110,35 +134,45 @@ void RejoinDriver::on_provisioned(Done done) {
   // 5. Chunked catch-up from the donor to fixpoint.
   node_.catch_up_from(
       options_.donor,
-      [this, done = std::move(done)](Result<std::size_t> streamed) mutable {
+      [this, live = live_](Result<std::size_t> streamed) {
+        if (!*live) return;
         if (!streamed) {
-          done(streamed.status());
+          finish(streamed.status());
           return;
         }
         report_.streamed_entries = streamed.value();
         if (!options_.auto_promote) {
-          done(report_);
+          finish(report_);
           return;
         }
         // 6. Promote once the protocol agrees it is caught up (base
         // protocols: immediately after the stream fixpoint; Raft: after
         // log backfill).
-        promote_poll_ = std::make_shared<sim::TimerHandle>();
-        await_promotion(clock_, node_, options_.promote_poll,
-                        options_.max_promote_polls,
-                        [this, done = std::move(done)](bool promoted) mutable {
-                          if (!promoted) {
-                            done(Status::error(
-                                ErrorCode::kTimeout,
-                                "shadow never reported caught-up"));
-                            return;
-                          }
-                          report_.promoted = true;
-                          done(report_);
-                        },
-                        promote_poll_);
+        await_promotion(options_.max_promote_polls);
       },
       options_.max_sync_passes);
+}
+
+void RejoinDriver::await_promotion(std::size_t polls_left) {
+  if (node_.shadow_caught_up()) {
+    node_.promote();
+    report_.promoted = true;
+    finish(report_);
+    return;
+  }
+  if (polls_left == 0) {
+    finish(
+        Status::error(ErrorCode::kTimeout, "shadow never reported caught-up"));
+    return;
+  }
+  clock_.schedule(options_.promote_poll, [this, live = live_, polls_left] {
+    if (*live) await_promotion(polls_left - 1);
+  });
+}
+
+void RejoinDriver::finish(Result<RejoinReport> result) {
+  Done done = std::move(done_);  // the callback may start another rejoin
+  done(std::move(result));
 }
 
 }  // namespace recipe

@@ -5,10 +5,11 @@
 // the live cluster:
 //
 //   1. tee::Enclave::restart()        — fresh enclave, same code identity;
-//   2. re-attestation via the CAS     — AttestationAuthority verifies the
-//      quote and provisions secrets; on success it broadcasts the
-//      kFreshNode notice, so every peer resets this node's channel
-//      counters and replay window (SecurityPolicy::reset_peer);
+//   2. re-provisioning                — secrets back into the enclave, and
+//      every peer and client resets this node's channel counters and replay
+//      window (SecurityPolicy::reset_peer): via the CAS (quote check, sealed
+//      bundle, kFreshNode notice) or pre-attested (the caller holds the
+//      group's secrets; each peer resets on its own loop);
 //   3. optional sealed-snapshot restore — a rollback-protected warm start
 //      from untrusted storage (older blobs are rejected, stat pinned);
 //   4. ReplicaNode::start_as_shadow() — the node rejoins as a SHADOW
@@ -22,14 +23,18 @@
 //
 // The driver is pure host-side orchestration: every security decision
 // (attestation, counter resets, MAC checks, rollback detection) happens in
-// the enclave/CAS layers it calls into.
+// the enclave/CAS layers it calls into. It is the ONLY rejoin sequence: the
+// simulator harness, cluster::ShardGroup and cluster::TcpCluster all run it.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "attest/cas.h"
+#include "recipe/group.h"
 #include "recipe/node_base.h"
 
 namespace recipe {
@@ -64,54 +69,69 @@ struct RejoinReport {
   std::size_t wal_entries{0};  // installed by local WAL replay (warm path)
 };
 
-// Polls `node.shadow_caught_up()` every `interval` and promotes the node as
-// soon as the protocol agrees; `done` receives true on promotion, false when
-// `max_polls` elapsed with the node still shadow. Shared by RejoinDriver and
-// the cluster layer's shard-replica replacement.
-//
-// `handle` (optional) receives every timer this poll loop arms: the loop
-// captures `node` by reference, so a caller tearing the node down while a
-// poll is pending MUST cancel through the handle or the fired callback reads
-// freed memory.
-void await_promotion(sim::Clock& clock, ReplicaNode& node,
-                     sim::Time interval, std::size_t max_polls,
-                     std::function<void(bool promoted)> done,
-                     std::shared_ptr<sim::TimerHandle> handle = nullptr);
-
 class RejoinDriver {
  public:
   using Done = std::function<void(Result<RejoinReport>)>;
 
-  RejoinDriver(sim::Clock& clock, ReplicaNode& node,
-               tee::Enclave& enclave, attest::AttestationAuthority& cas);
-  // Cancels any pending promotion poll: its callbacks capture the node by
-  // reference and must never fire after the driver (and typically the node)
-  // is gone.
+  // A peer replica or client that may hold channel state for the node:
+  // `reset` runs on the loop `clock` drives and should skip a party that is
+  // down.
+  struct PeerReset {
+    sim::Clock* clock;
+    std::function<void(NodeId fresh)> reset;
+  };
+
+  // Step 2 through the CAS.
+  RejoinDriver(sim::Clock& clock, ReplicaNode& node, tee::Enclave& enclave,
+               attest::AttestationAuthority& cas);
+  // Step 2 pre-attested: installs `group`'s secrets (`group` must outlive
+  // the driver), runs every reset in `peers` on its own clock and
+  // shadow-joins once all of them ran; no loop ever blocks on another.
+  RejoinDriver(sim::Clock& clock, ReplicaNode& node, tee::Enclave& enclave,
+               const GroupSettings& group, std::vector<PeerReset> peers);
+  // Disarms the driver: nothing it armed (peer resets and their acks, the
+  // catch-up completion, the promotion poll) runs afterwards. Destroy it on
+  // the node's loop; abandoning a rejoin means destroying its driver.
   ~RejoinDriver();
+
+  // Armed callbacks hold `this`.
+  RejoinDriver(const RejoinDriver&) = delete;
+  RejoinDriver& operator=(const RejoinDriver&) = delete;
 
   // Runs the sequence above; `done` fires with the report (or the first
   // error). One rejoin at a time per driver.
   //
   // Cheap-restart fast path: when the node has a WAL and the previous
   // incarnation shut down cleanly, the driver restores everything locally
-  // (ReplicaNode::warm_restart) and SKIPS attestation and the peer stream
-  // entirely. A crash (no valid marker) takes the full attested sequence.
+  // (ReplicaNode::warm_restart) and SKIPS provisioning and the peer stream
+  // entirely. A crash (no valid marker) takes the full sequence.
   void rejoin(RejoinOptions options, Done done);
 
  private:
-  void on_provisioned(Done done);
+  void provision_pre_attested();
+  void on_provisioned();
+  // Polls shadow_caught_up() every promote_poll and promotes the node as
+  // soon as the protocol agrees; times out after `polls_left` more polls.
+  void await_promotion(std::size_t polls_left);
+  void finish(Result<RejoinReport> result);
 
   sim::Clock& clock_;
   ReplicaNode& node_;
   tee::Enclave& enclave_;
-  attest::AttestationAuthority& cas_;
+  // Exactly one of the two provisioning sources is set.
+  attest::AttestationAuthority* cas_ = nullptr;
+  const GroupSettings* group_ = nullptr;
+  std::vector<PeerReset> peers_;
   // Answers the CAS challenge / installs the granted bundle on the node's
   // rpc object. Constructed per rejoin (handlers re-register idempotently).
   std::optional<attest::AttestationClient> attestation_;
   RejoinOptions options_;
   RejoinReport report_;
-  // Live timer of the promotion poll loop (see await_promotion).
-  std::shared_ptr<sim::TimerHandle> promote_poll_;
+  Done done_;
+  std::size_t resets_pending_{0};
+  // Checked first by every callback the driver arms; cleared when the
+  // driver dies or starts another rejoin. Atomic: peer loops read it.
+  std::shared_ptr<std::atomic<bool>> live_;
 };
 
 }  // namespace recipe

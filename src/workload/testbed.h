@@ -13,9 +13,9 @@
 #include <memory>
 #include <vector>
 
-#include "attest/bundle.h"
 #include "net/network.h"
 #include "recipe/client.h"
+#include "recipe/group.h"
 #include "recipe/node_base.h"
 #include "sim/simulator.h"
 #include "tee/cost_model.h"
@@ -69,8 +69,11 @@ class Testbed {
       : config_(config),
         network_(simulator_, Rng(config.seed)),
         cost_model_(config.cost_params) {
+    group_.secured = config_.secured;
+    group_.confidentiality = config_.confidentiality;
+    group_.batch = config_.batch;
     for (std::size_t i = 0; i < config_.num_replicas; ++i) {
-      membership_.push_back(NodeId{i + 1});
+      group_.membership.push_back(NodeId{i + 1});
     }
   }
 
@@ -78,33 +81,25 @@ class Testbed {
   template <typename... Extra>
   void build(Extra&&... extra) {
     for (std::size_t i = 0; i < config_.num_replicas; ++i) {
-      auto enclave = std::make_unique<tee::Enclave>(platform_, "recipe-replica",
-                                                    membership_[i].value);
-      if (config_.secured) provision(*enclave);
+      const NodeId id = group_.membership[i];
+      auto enclave =
+          std::make_unique<tee::Enclave>(platform_, "recipe-replica", id.value);
+      (void)group_.provision(*enclave);
 
-      ReplicaOptions options;
-      options.self = membership_[i];
-      options.membership = membership_;
-      options.secured = config_.secured;
-      options.confidentiality = config_.confidentiality;
-      options.enclave = enclave.get();
+      ReplicaOptions options = group_.replica(id, enclave.get());
       options.stack = config_.replica_stack;
       options.cost_model = config_.use_cost_model ? &cost_model_ : nullptr;
       if (config_.secured) {
         options.enclave_runtime_bytes = config_.enclave_runtime_bytes;
         options.msg_buffer_bytes = estimated_msg_buffer_bytes();
       }
-      if (config_.confidentiality) {
-        options.kv_config.value_encryption_key = value_key_;
-      }
       // Larger RPC windows for load generation.
       options.rpc_config.session_credits = 256;
-      options.batch = config_.batch;
 
       enclaves_.push_back(std::move(enclave));
       nodes_.push_back(std::make_unique<Node>(simulator_, network_,
                                               std::move(options), extra...));
-      network_.cpu(membership_[i]).set_cores(config_.replica_cores);
+      network_.cpu(id).set_cores(config_.replica_cores);
     }
     for (auto& node : nodes_) node->start();
 
@@ -112,13 +107,9 @@ class Testbed {
       const std::uint64_t id = 2000 + c;
       auto enclave = std::make_unique<tee::Enclave>(platform_, "recipe-client",
                                                     id);
-      if (config_.secured) provision(*enclave);
-      ClientOptions options;
-      options.id = ClientId{id};
-      options.secured = config_.secured;
-      options.confidentiality = config_.confidentiality;
-      options.enclave = enclave.get();
-      options.request_timeout = 2 * sim::kSecond;
+      (void)group_.provision(*enclave);
+      ClientOptions options = group_.client(ClientId{id}, enclave.get());
+      options.retry.initial_timeout = 2 * sim::kSecond;
       client_enclaves_.push_back(std::move(enclave));
       clients_.push_back(
           std::make_unique<KvClient>(simulator_, network_, options));
@@ -161,7 +152,7 @@ class Testbed {
 
   Node& node(std::size_t i) { return *nodes_[i]; }
   std::size_t size() const { return nodes_.size(); }
-  const std::vector<NodeId>& membership() const { return membership_; }
+  const std::vector<NodeId>& membership() const { return group_.membership; }
   sim::Simulator& sim() { return simulator_; }
   net::SimNetwork& network() { return network_; }
   const TestbedConfig& config() const { return config_; }
@@ -171,15 +162,15 @@ class Testbed {
     return [coordinator](OpType, std::uint64_t) { return coordinator; };
   }
   Router route_round_robin() const {
-    auto members = membership_;
+    auto members = group_.membership;
     return [members](OpType, std::uint64_t op) {
       return members[op % members.size()];
     };
   }
   // Chain replication: writes to the head, reads to the tail.
   Router route_head_tail() const {
-    const NodeId head = membership_.front();
-    const NodeId tail = membership_.back();
+    const NodeId head = group_.membership.front();
+    const NodeId tail = group_.membership.back();
     return [head, tail](OpType op, std::uint64_t) {
       return op == OpType::kPut ? head : tail;
     };
@@ -199,21 +190,12 @@ class Testbed {
     return out;
   }
 
-  void provision(tee::Enclave& enclave) {
-    (void)enclave.install_secret(attest::kClusterRootName, root_);
-    if (config_.confidentiality) {
-      (void)enclave.install_secret(attest::kValueKeyName, value_key_);
-    }
-  }
-
   TestbedConfig config_;
   sim::Simulator simulator_;
   net::SimNetwork network_;
   tee::TeePlatform platform_{1};
   tee::TeeCostModel cost_model_;
-  crypto::SymmetricKey root_{Bytes(32, 0x77)};
-  crypto::SymmetricKey value_key_{Bytes(32, 0x44)};
-  std::vector<NodeId> membership_;
+  GroupSettings group_;
   std::vector<std::unique_ptr<tee::Enclave>> enclaves_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<tee::Enclave>> client_enclaves_;

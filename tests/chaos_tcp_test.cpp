@@ -41,8 +41,8 @@ TcpClusterOptions chaos_cluster(const std::string& protocol, bool batched,
   options.secured = true;
   options.chaos = true;
   options.chaos_options = rough_network(seed);
-  options.request_timeout = 250 * sim::kMillisecond;
-  options.max_retries = 5;
+  options.client_retry.initial_timeout = 250 * sim::kMillisecond;
+  options.client_retry.max_attempts = 5;
   if (batched) {
     options.batch.enabled = true;
     options.batch.max_count = 8;

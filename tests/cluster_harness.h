@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "attest/bundle.h"
 #include "attest/cas.h"
 #include "net/network.h"
 #include "obs/flight_recorder.h"
 #include "recipe/client.h"
+#include "recipe/group.h"
 #include "recipe/node_base.h"
 #include "recipe/recovery.h"
 #include "sim/simulator.h"
@@ -94,8 +94,13 @@ class Cluster {
   explicit Cluster(Config config = {})
       : config_(with_resolved_seed(config)),
         network_(simulator_, Rng(network_seed(config_.seed))) {
+    group_.secured = config_.secured;
+    group_.confidentiality = config_.confidentiality;
+    group_.heartbeat_period = config_.heartbeat_period;
+    group_.phi_threshold = config_.phi_threshold;
+    group_.batch = config_.batch;
     for (std::size_t i = 0; i < config_.num_replicas; ++i) {
-      membership_.push_back(NodeId{i + 1});
+      group_.membership.push_back(NodeId{i + 1});
     }
     if (config_.with_cas) {
       attest::AuthorityParams params;
@@ -104,9 +109,9 @@ class Cluster {
           simulator_, network_, NodeId{1000},
           net::NetStackParams::direct_io_native(), params);
       cas_->register_platform(platform_);
-      root_ = cas_->cluster_root();
+      group_.root = cas_->cluster_root();
       attest::ClusterPlan plan;
-      plan.replicas = membership_;
+      plan.replicas = group_.membership;
       cas_->upload_plan(plan, crypto::Sha256::hash(as_view("recipe-replica")));
     }
   }
@@ -114,24 +119,12 @@ class Cluster {
   // Builds node `i` (id i+1) with extra protocol options forwarded.
   template <typename... Extra>
   Node& add_node(std::size_t i, Extra&&... extra) {
-    auto enclave = std::make_unique<tee::Enclave>(
-        platform_, "recipe-replica", membership_[i].value);
-    if (config_.secured) provision(*enclave);
+    const NodeId id = group_.membership[i];
+    auto enclave =
+        std::make_unique<tee::Enclave>(platform_, "recipe-replica", id.value);
+    provision(*enclave);
 
-    ReplicaOptions options;
-    options.self = membership_[i];
-    options.membership = membership_;
-    options.secured = config_.secured;
-    options.confidentiality = config_.confidentiality;
-    options.enclave = enclave.get();
-    options.heartbeat_period = config_.heartbeat_period;
-    options.phi_threshold = config_.phi_threshold;
-    options.stack = config_.secured ? net::NetStackParams::direct_io_tee()
-                                    : net::NetStackParams::direct_io_native();
-    options.batch = config_.batch;
-    if (config_.confidentiality) {
-      options.kv_config.value_encryption_key = value_key_;
-    }
+    ReplicaOptions options = group_.replica(id, enclave.get());
     if (config_.durable_wal && config_.secured) {
       while (wal_storage_.size() <= i) {
         wal_storage_.push_back(std::make_unique<kv::MemWalStorage>());
@@ -158,14 +151,11 @@ class Cluster {
   KvClient& add_client(std::uint64_t client_id = 2000) {
     auto enclave = std::make_unique<tee::Enclave>(platform_, "recipe-client",
                                                   client_id);
-    if (config_.secured) provision(*enclave);
+    provision(*enclave);
     // Pre-provisioned clients still need the fresh-node notices.
     if (cas_) cas_->register_principal(NodeId{client_id});
-    ClientOptions options;
-    options.id = ClientId{client_id};
-    options.secured = config_.secured;
-    options.confidentiality = config_.confidentiality;
-    options.enclave = enclave.get();
+    const ClientOptions options =
+        group_.client(ClientId{client_id}, enclave.get());
     client_enclaves_.push_back(std::move(enclave));
     clients_.push_back(
         std::make_unique<KvClient>(simulator_, network_, options));
@@ -224,9 +214,9 @@ class Cluster {
   std::size_t size() const { return nodes_.size(); }
   sim::Simulator& sim() { return simulator_; }
   net::SimNetwork& network() { return network_; }
-  const std::vector<NodeId>& membership() const { return membership_; }
+  const std::vector<NodeId>& membership() const { return group_.membership; }
   tee::Enclave& enclave(std::size_t i) { return *enclaves_[i]; }
-  const crypto::SymmetricKey& root() const { return root_; }
+  const crypto::SymmetricKey& root() const { return group_.root; }
   tee::TeePlatform& platform() { return platform_; }
 
   void run_for(sim::Time duration) { simulator_.run_for(duration); }
@@ -266,15 +256,7 @@ class Cluster {
 
  private:
   void provision(tee::Enclave& enclave) {
-    ASSERT_TRUE_OR_ABORT(
-        enclave.install_secret(attest::kClusterRootName, root_).is_ok());
-    if (config_.confidentiality) {
-      ASSERT_TRUE_OR_ABORT(
-          enclave.install_secret(attest::kValueKeyName, value_key_).is_ok());
-    }
-  }
-  static void ASSERT_TRUE_OR_ABORT(bool ok) {
-    if (!ok) std::abort();
+    if (!group_.provision(enclave).is_ok()) std::abort();
   }
   static Config with_resolved_seed(Config config) {
     config.seed = resolved_seed(config.seed);
@@ -294,9 +276,7 @@ class Cluster {
   ::testing::ScopedTrace seed_trace_{__FILE__, __LINE__,
                                      seed_trace_message(config_.seed)};
   tee::TeePlatform platform_{1};
-  crypto::SymmetricKey root_{Bytes(32, 0x77)};
-  crypto::SymmetricKey value_key_{Bytes(32, 0x44)};
-  std::vector<NodeId> membership_;
+  GroupSettings group_;
   std::unique_ptr<attest::AttestationAuthority> cas_;
   std::vector<std::unique_ptr<tee::Enclave>> enclaves_;
   // Declared before nodes_ (destroyed after): a node's Wal references its

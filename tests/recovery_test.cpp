@@ -741,5 +741,36 @@ TEST(ClusterRecovery, RoutedClientSurvivesReplicaReplacement) {
   }
 }
 
+// Regression (ASan): a replica recovery the cluster layer gave up on
+// (handoff_timeout far below the catch-up time) must not fire into freed
+// nodes after the cluster is destroyed — the promotion poll or a late
+// catch-up completion included. The simulator twin of
+// TcpClusterTest.TeardownDuringAbandonedRejoinIsSafe.
+TEST(ClusterRecovery, TeardownDuringAbandonedRecoveryIsSafe) {
+  sim::Simulator simulator;
+  net::SimNetwork network(simulator, Rng(4242));
+  tee::TeePlatform platform(1);
+  cluster::ClusterOptions options;
+  options.default_protocol = "raft";
+  options.heartbeat_period = 5 * sim::kMillisecond;
+  options.handoff_timeout = 20 * sim::kMillisecond;
+  {
+    cluster::ShardedCluster sharded(simulator, network, platform, options);
+    ASSERT_TRUE(sharded.add_shard().is_ok());
+    auto& group = sharded.shard(0);
+    for (int i = 0; i < 3000; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      for (std::size_t r = 0; r < group.size(); ++r) {
+        group.replica(r).kv().write(key, as_view("v"),
+                                    kv::Timestamp{std::uint64_t(i + 1), 0});
+      }
+    }
+    group.stop_replica(2);
+    EXPECT_FALSE(sharded.recover_replica(0, 2).is_ok());
+  }
+  // Anything the abandoned recovery left armed fires now, into freed nodes.
+  simulator.run_for(3 * sim::kSecond);
+}
+
 }  // namespace
 }  // namespace recipe

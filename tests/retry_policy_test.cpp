@@ -125,8 +125,8 @@ TEST(RetryPolicyTest, DeadlineCutsRetransmitScheduleShort) {
   ClientOptions options;
   options.id = ClientId{2400};
   options.enclave = enclave.get();
-  options.request_timeout = 200 * sim::kMillisecond;
-  options.max_retries = 10;
+  options.retry.initial_timeout = 200 * sim::kMillisecond;
+  options.retry.max_attempts = 10;
   options.retry.deadline = 500 * sim::kMillisecond;
   KvClient client(cluster.sim(), cluster.network(), options);
 

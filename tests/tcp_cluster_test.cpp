@@ -268,7 +268,7 @@ TEST(TcpClusterTest, CrashedClientEnclaveFailsFatallyWithoutRetries) {
   const auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_FALSE(reply.ok);
   EXPECT_EQ(reply.error, ErrorCode::kAuthFailed);
-  // Fatal short-circuit: well under even ONE request_timeout (500ms), let
+  // Fatal short-circuit: well under even ONE attempt timeout (500ms), let
   // alone the re-route loop's full backoff schedule.
   EXPECT_LT(elapsed, std::chrono::milliseconds(400));
 }
@@ -280,8 +280,8 @@ TEST(TcpClusterTest, PermanentlyCrashedClusterFailsBounded) {
   TcpClusterOptions options;
   options.protocol = "cr";
   options.secured = true;
-  options.request_timeout = 100 * sim::kMillisecond;
-  options.max_retries = 2;
+  options.client_retry.initial_timeout = 100 * sim::kMillisecond;
+  options.client_retry.max_attempts = 2;
   options.op_retry.max_attempts = 2;
   options.op_retry.base_backoff = 10 * sim::kMillisecond;
   options.op_retry.max_backoff = 50 * sim::kMillisecond;
@@ -408,6 +408,16 @@ TEST(TcpClusterTest, TeardownDuringAbandonedRejoinIsSafe) {
   EXPECT_FALSE(rejoined.is_ok());
   // Scope exit tears the whole cluster down RIGHT NOW: any timer the
   // abandoned rejoin left armed would fire into destroyed nodes.
+}
+
+// The constructor fails loudly in every build type (tier-1 and the
+// benchmark build with NDEBUG): an unknown protocol aborts with a message
+// naming the cause instead of dereferencing a null factory.
+TEST(TcpClusterTest, UnknownProtocolAbortsWithMessage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TcpClusterOptions options;
+  options.protocol = "no-such-protocol";
+  EXPECT_DEATH({ TcpCluster cluster(options); }, "unknown protocol");
 }
 
 }  // namespace
