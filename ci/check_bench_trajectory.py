@@ -105,9 +105,11 @@ def durability_headline(doc):
     """Headline: recovery-time-vs-write-volume and group-commit
     amortization, both same-run machine-relative ratios (absolute
     entries/sec stay in the JSON as ungated telemetry). The acceptance
-    booleans — exact idempotent warm replay, the 1.2x amortization floor
-    and the linear-restart-cost floor — are hard: encoded as 0/1 metrics so
-    the generic regression threshold cannot soften them."""
+    booleans — exact idempotent warm replay, the 1.2x amortization floor,
+    the linear-restart-cost floor and the 1.5 ceiling on compaction's
+    resealed-per-logged bytes (an exact byte count, not a timing) — are
+    hard: encoded as 0/1 metrics so the generic regression threshold cannot
+    soften them."""
     return {
         "group-commit amortization 16/1": float(
             doc.get("group16_over_group1", 0.0)),
@@ -119,6 +121,8 @@ def durability_headline(doc):
             1.0 if doc.get("acceptance_group_commit_amortizes") else 0.0),
         "hard_floor_replay_scales_linearly": (
             1.0 if doc.get("acceptance_replay_scales_linearly") else 0.0),
+        "hard_ceiling_compaction_amortized_1.5": (
+            1.0 if doc.get("acceptance_compaction_amortized") else 0.0),
     }
 
 

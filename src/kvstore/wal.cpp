@@ -243,6 +243,11 @@ Wal::Wal(WalStorage& storage, const crypto::SymmetricKey& sealing_key,
   options_.max_segment_seq = std::min<std::uint32_t>(
       options_.max_segment_seq, (1u << kSegmentSeqBits) - 1);
   scan_existing_segments();
+  // The compaction budget's other side, learned here so should_compact()
+  // never reads storage.
+  if (auto blob = storage_.read_blob(kSnapshotBlob)) {
+    snapshot_bytes_ = blob.value().size();
+  }
 }
 
 std::uint64_t Wal::make_segment_id(std::uint32_t seq) const {
@@ -254,10 +259,12 @@ void Wal::scan_existing_segments() {
   // them away, so the NEXT clean marker must bind their record counts too.
   // Structural (length-prefix) parse only — MACs are checked at replay; a
   // tail this scan cannot parse fails replay structurally regardless of
-  // what count gets bound here.
+  // what count gets bound here. Every segment found counts as sealed: this
+  // instance's open segment lives under a fresh boot epoch.
   for (const auto seg_id : storage_.list_segments()) {
     auto data = storage_.read_segment(seg_id);
     if (!data || data.value().empty()) continue;
+    sealed_bytes_ += data.value().size();
     std::uint32_t records = 0;
     Reader r(as_view(data.value()));
     while (!r.exhausted()) {
@@ -345,26 +352,30 @@ void Wal::rotate() {
   ++segment_seq_;
   segment_id_ = make_segment_id(segment_seq_);
   record_index_ = 0;
+  sealed_bytes_ += segment_bytes_;
   segment_bytes_ = 0;
+  compact_failed_ = false;
   ++segments_rotated_;
 }
 
 bool Wal::should_compact() const {
-  // Sealed segments = everything on storage except the open one.
-  std::size_t sealed = 0;
-  for (const auto id : storage_.list_segments()) {
-    if (id != segment_id_) ++sealed;
-  }
-  return sealed >= options_.compact_segments;
+  // Expansion factor 1: compact once the sealed log is as big as the
+  // snapshot that would replace it.
+  const std::size_t floor = options_.compact_segments * options_.segment_bytes;
+  return !compact_failed_ &&
+         sealed_bytes_ >= std::max(snapshot_bytes_, floor);
 }
 
 Status Wal::compact(const KvStore& kv, std::uint64_t version) {
   const Bytes snapshot = seal_snapshot(kv, sealing_key_, version);
   if (auto s = storage_.put_blob(kSnapshotBlob, as_view(snapshot));
       !s.is_ok()) {
+    compact_failed_ = true;
     return s;
   }
   last_compacted_version_ = version;
+  snapshot_bytes_ = snapshot.size();
+  sealed_bytes_ = 0;
   ++compactions_;
   // Every sealed segment's entries are covered by the snapshot (it seals the
   // FULL current state). Records already in the open segment are covered

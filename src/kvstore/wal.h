@@ -4,9 +4,11 @@
 // The WAL makes a CLEAN restart local: the apply path buffers every KV write
 // and seals one record per batch-flush boundary (group commit) into an
 // append-only segment on UNTRUSTED storage. Segments rotate at a size
-// threshold and are compacted in the background into the existing sealed
-// snapshot format (snapshot.{h,cpp}), whose version pins to the hardware
-// rollback counter. A clean shutdown writes a rollback-pinned marker; the
+// threshold. Once the sealed (rotated-out) segments hold as many bytes as the
+// last compacted snapshot, the owner compacts inline: the full store is
+// resealed into the existing sealed snapshot format (snapshot.{h,cpp}), whose
+// version pins to the hardware rollback counter, and the sealed segments are
+// dropped. A clean shutdown writes a rollback-pinned marker; the
 // rejoin fast path validates the marker, replays snapshot + segments locally
 // and skips the CAS attestation round-trip and the peer state stream
 // entirely. A crash leaves no marker and still takes the full §3.7 rejoin.
@@ -132,7 +134,9 @@ class FileWalStorage final : public WalStorage {
 struct WalOptions {
   // Segment rotation threshold (bytes of sealed records per segment).
   std::size_t segment_bytes = 256 * 1024;
-  // Sealed (rotated-out) segments that trigger background compaction.
+  // Floor of the compaction budget, in segments: compaction waits for at
+  // least compact_segments * segment_bytes of sealed log, however small the
+  // last snapshot was (see Wal::should_compact).
   std::size_t compact_segments = 4;
   // Per-boot-epoch segment sequence ceiling (tests lower it); always clamped
   // to the 20-bit field the segment-id layout reserves. Hitting it makes
@@ -187,13 +191,19 @@ class Wal {
   // number of entries committed. No-op on an empty buffer.
   Result<std::size_t> commit();
 
-  // True once enough sealed segments accumulated that the owner should run
-  // compact() (the "background" compaction trigger).
+  // O(1) compaction trigger, asked after every commit: true once the sealed
+  // log holds at least max(stored snapshot bytes, compact_segments *
+  // segment_bytes). Each compaction then reseals about one byte per byte
+  // logged since the last one, whatever the store size (Raft's snapshot
+  // rule, Ongaro 2014 §5.1.3). After a failed compact() it stays false until
+  // the next rotation, so a failing snapshot write costs one reseal (and one
+  // hardware-counter advance) per segment, not one per commit.
   bool should_compact() const;
 
   // Compaction: seals the FULL store state as snapshot `version` (reserved
   // from the hardware counter by the caller) and deletes every sealed
-  // segment — their entries are all covered by the snapshot.
+  // segment — their entries are all covered by the snapshot. Runs on the
+  // caller's thread (ReplicaNode calls it inline on its loop).
   Status compact(const KvStore& kv, std::uint64_t version);
 
   // Version of the stored compacted snapshot: what this instance last wrote,
@@ -251,6 +261,11 @@ class Wal {
   // counted structurally at open): the marker binds this so replay can
   // detect record-boundary truncation and deleted segments.
   std::map<std::uint64_t, std::uint32_t> segment_records_;
+  // Compaction budget: bytes in live segments other than the open one, and
+  // the stored snapshot's size (read once at open, then set by compact()).
+  std::size_t sealed_bytes_{0};
+  std::size_t snapshot_bytes_{0};
+  bool compact_failed_{false};  // cleared by the next rotation
   Writer pending_;
   std::size_t pending_entries_{0};
   std::uint64_t last_compacted_version_{0};

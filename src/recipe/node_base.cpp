@@ -75,6 +75,10 @@ ReplicaNode::ReplicaNode(sim::Clock& clock, net::Transport& network,
     counter("recipe_node_fd_suspicions_total", [this] {
       return fd_suspicions_.load(std::memory_order_relaxed);
     });
+    if (tee::Enclave* enclave = options_.enclave) {
+      counter("recipe_tee_counter_advances_total",
+              [enclave] { return enclave->rollback_counter(); });
+    }
     counter("recipe_batch_messages_total",
             [this] { return batcher_.messages_batched(); });
     counter("recipe_batch_flushes_total",
@@ -810,7 +814,6 @@ void ReplicaNode::reopen_wal() {
 void ReplicaNode::wal_group_commit() {
   if (wal_ == nullptr || wal_->pending_entries() == 0) return;
   const std::size_t pending = wal_->pending_entries();
-  const std::uint64_t rotated_before = wal_->segments_rotated();
   const bool timed =
       bool(wal_commit_us_) || obs::FlightRecorder::global().enabled();
   const std::uint64_t t0 = timed ? obs::FlightRecorder::now_ns() : 0;
@@ -838,12 +841,9 @@ void ReplicaNode::wal_group_commit() {
     return;
   }
   wal_group_commits_.inc();
-  // Compaction piggybacks on rotation: only a commit that sealed a segment
-  // can push the sealed-segment count past the threshold, so the (storage
-  // enumerating) should_compact() check is skipped on the common path.
-  if (wal_->segments_rotated() == rotated_before || !wal_->should_compact()) {
-    return;
-  }
+  // The Wal owns the trigger (sealed log bytes vs. the last snapshot's size,
+  // an O(1) check) and its retry backoff.
+  if (!wal_->should_compact()) return;
   if (auto version = options_.enclave->advance_snapshot_version()) {
     if (wal_->compact(kv_, version.value()).is_ok()) {
       wal_compactions_.inc();

@@ -385,9 +385,8 @@ class ReplicaNode {
   // incarnations and any outstanding clean marker is burned.
   void reopen_wal();
   // Group commit at a dispatch boundary: one WAL commit record covers every
-  // entry the just-dispatched message/batch applied. Triggers background
-  // compaction when a rotation pushed the sealed-segment count past the
-  // threshold.
+  // entry the just-dispatched message/batch applied. Then compacts inline
+  // when the Wal says the sealed log has outgrown the last snapshot.
   void wal_group_commit();
 
   sim::Clock& clock_;

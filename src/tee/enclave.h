@@ -130,6 +130,12 @@ class Enclave {
   // rollback attack).
   Result<std::uint64_t> advance_snapshot_version();
   Result<std::uint64_t> snapshot_version() const;
+  // The same hardware counter, readable while the enclave is crashed (it is
+  // platform state) and from any thread. It starts at 0 and every advance
+  // adds one, so it also counts the counter's writes.
+  std::uint64_t rollback_counter() const {
+    return platform_.rollback_counter(enclave_id_);
+  }
 
   // --- Sealed volatile state (clean shutdown -> warm restart) -------------
   //

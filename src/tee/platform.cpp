@@ -18,12 +18,14 @@ TeePlatform::TeePlatform(std::uint64_t platform_seed)
 }
 
 std::uint64_t TeePlatform::rollback_counter(std::uint64_t enclave_id) const {
+  std::lock_guard<std::mutex> lock(counters_mu_);
   const auto it = rollback_counters_.find(enclave_id);
   return it == rollback_counters_.end() ? 0 : it->second;
 }
 
 std::uint64_t TeePlatform::advance_rollback_counter(
     std::uint64_t enclave_id) const {
+  std::lock_guard<std::mutex> lock(counters_mu_);
   return ++rollback_counters_[enclave_id];
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -35,13 +36,15 @@ class TeePlatform {
   // never decreases. This is the root of snapshot rollback protection — a
   // sealed snapshot is only accepted when its version equals the current
   // counter value, so re-feeding an older blob is detected. The counters are
-  // hardware state behind a const handle, like hardware_root_key().
+  // hardware state behind a const handle, like hardware_root_key(), and are
+  // safe to read from any thread (metrics scrapes read them).
   std::uint64_t rollback_counter(std::uint64_t enclave_id) const;
   std::uint64_t advance_rollback_counter(std::uint64_t enclave_id) const;
 
  private:
   std::uint64_t platform_id_;
   crypto::SymmetricKey root_key_;
+  mutable std::mutex counters_mu_;
   mutable std::unordered_map<std::uint64_t, std::uint64_t> rollback_counters_;
 };
 

@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/tcp_cluster.h"
@@ -315,6 +317,53 @@ TEST(ObsClusterTest, AdminEndpointServesFullRegistry) {
                 .histogram_value("recipe_client_op_latency_us")
                 .count(),
             20u);
+}
+
+// Hardware-counter use shows in /metrics: one WAL compaction advances
+// recipe_tee_counter_advances_total by exactly one.
+TEST(ObsClusterTest, CompactionAdvancesTeeCounterByOne) {
+  recipe::cluster::TcpClusterOptions options;
+  options.protocol = "cr";
+  options.replicas = 3;
+  options.secured = true;
+  options.durable_wal = true;
+  options.wal_dir = "wal_dumps/obs_tee_counter";
+  options.wal.segment_bytes = 256;  // a compaction every few puts
+  options.wal.compact_segments = 1;
+  std::filesystem::remove_all(options.wal_dir);  // hermetic across runs
+  recipe::cluster::TcpCluster cluster(options);
+  recipe::KvClient& client = cluster.add_client(3200);
+
+  // (counter advances, compactions) of replica i, read on its loop so that
+  // no group commit is caught half-way.
+  auto sample = [&](std::size_t i) {
+    std::pair<std::uint64_t, std::uint64_t> out;
+    cluster.run_on(i, [&] {
+      const MetricsRegistry& m = cluster.metrics(i);
+      out = {m.counter_value("recipe_tee_counter_advances_total"),
+             m.counter_value("recipe_wal_compactions_total")};
+    });
+    return out;
+  };
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> last;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    last.push_back(sample(i));
+    EXPECT_GT(last[i].first, 0u) << "opening the WAL reserves a boot epoch";
+  }
+
+  std::uint64_t single_compactions = 0;
+  for (int op = 0; op < 200 && single_compactions < 3; ++op) {
+    ASSERT_TRUE(cluster.put(client, "k" + std::to_string(op % 4), "v").ok);
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      const auto now = sample(i);
+      const std::uint64_t compactions = now.second - last[i].second;
+      EXPECT_EQ(now.first - last[i].first, compactions)
+          << "replica " << i << " after op " << op;
+      if (compactions == 1) ++single_compactions;
+      last[i] = now;
+    }
+  }
+  EXPECT_GE(single_compactions, 3u);
 }
 
 // metrics=false is the bench's off-mode: disabled registries everywhere,

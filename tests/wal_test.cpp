@@ -8,6 +8,7 @@
 
 #include "crypto/chacha20.h"
 #include "kvstore/kvstore.h"
+#include "kvstore/snapshot.h"
 #include "kvstore/wal.h"
 
 namespace recipe::kv {
@@ -19,6 +20,47 @@ const crypto::SymmetricKey kOtherKey{Bytes(32, 0xCD)};
 Timestamp ts(std::uint64_t counter, std::uint64_t node = 1) {
   return Timestamp{counter, node};
 }
+
+// MemWalStorage that counts the log and snapshot bytes written through it,
+// and can fail every snapshot write (a full disk, say).
+class CountingStorage final : public WalStorage {
+ public:
+  std::vector<std::uint64_t> list_segments() const override {
+    return inner_.list_segments();
+  }
+  Status append_segment(std::uint64_t id, BytesView record) override {
+    logged_bytes += record.size();
+    return inner_.append_segment(id, record);
+  }
+  Result<Bytes> read_segment(std::uint64_t id) const override {
+    return inner_.read_segment(id);
+  }
+  Status remove_segment(std::uint64_t id) override {
+    return inner_.remove_segment(id);
+  }
+  Status put_blob(const std::string& name, BytesView data) override {
+    if (name == "wal-snapshot") {
+      if (fail_snapshot_writes) {
+        return Status::error(ErrorCode::kInternal, "snapshot write failed");
+      }
+      resealed_bytes += data.size();
+    }
+    return inner_.put_blob(name, data);
+  }
+  Result<Bytes> read_blob(const std::string& name) const override {
+    return inner_.read_blob(name);
+  }
+  Status remove_blob(const std::string& name) override {
+    return inner_.remove_blob(name);
+  }
+
+  std::size_t logged_bytes = 0;
+  std::size_t resealed_bytes = 0;
+  bool fail_snapshot_writes = false;
+
+ private:
+  MemWalStorage inner_;
+};
 
 TEST(Wal, CommitSealsOneRecordPerGroup) {
   MemWalStorage storage;
@@ -150,6 +192,82 @@ TEST(Wal, CompactionFoldsSealedSegmentsIntoSnapshot) {
   EXPECT_EQ(replay.value().log_entries, 1u);
   EXPECT_EQ(restored.size(), kv.size());
   EXPECT_EQ(to_string(as_view(restored.get("after").value().value)), "x");
+}
+
+// Write amplification is bounded whatever the store size. The sealed store
+// here is 16x the compaction floor; compacting whenever should_compact() says
+// so, as ReplicaNode does, must reseal no more than ~1 byte per logged byte.
+// A trigger that fires every compact_segments segments would reseal the
+// whole store per 4 KiB of log instead (~14x).
+TEST(Wal, CompactionResealsAboutOneBytePerLoggedByte) {
+  CountingStorage storage;
+  WalOptions options;
+  options.segment_bytes = 1024;  // floor: compact_segments (4) x 1 KiB
+  Wal wal(storage, kSealKey, 1, options);
+  constexpr std::size_t kKeys = 64;
+  const Bytes value(1024, 0x5A);
+
+  KvStore kv;
+  std::uint64_t c = 0;
+  std::uint64_t version = 0;
+  auto put = [&](std::size_t k) {
+    const std::string key = "key" + std::to_string(k);
+    ++c;
+    if (!kv.write(key, as_view(value), ts(c))) return false;
+    wal.append(key, as_view(value), ts(c));
+    if (!wal.commit().is_ok()) return false;
+    return !wal.should_compact() || wal.compact(kv, ++version).is_ok();
+  };
+  for (std::size_t k = 0; k < kKeys; ++k) ASSERT_TRUE(put(k));
+  const std::size_t store_bytes = seal_snapshot(kv, kSealKey, 1).size();
+  ASSERT_GE(store_bytes, 8 * options.compact_segments * options.segment_bytes);
+
+  for (std::size_t i = 0; storage.logged_bytes < 8 * store_bytes; ++i) {
+    ASSERT_TRUE(put(i % kKeys));
+  }
+  EXPECT_GE(wal.compactions(), 8u);
+  EXPECT_LE(storage.resealed_bytes * 2, storage.logged_bytes * 3)
+      << "resealed " << storage.resealed_bytes << " B for "
+      << storage.logged_bytes << " B logged";
+}
+
+// A snapshot write that keeps failing must not turn every group commit into
+// a full reseal plus a hardware-counter advance: after a failed compact()
+// the trigger stays off until the next rotation, and commits keep working.
+TEST(Wal, FailedCompactionWaitsForTheNextRotation) {
+  CountingStorage storage;
+  WalOptions options;
+  options.segment_bytes = 128;
+  options.compact_segments = 1;
+  Wal wal(storage, kSealKey, 1, options);
+
+  KvStore kv;
+  std::uint64_t c = 0;
+  auto put = [&] {
+    const std::string key = "key" + std::to_string(c % 4);
+    ++c;
+    if (!kv.write(key, as_view("payload-payload"), ts(c))) return false;
+    wal.append(key, as_view("payload-payload"), ts(c));
+    return wal.commit().is_ok();
+  };
+  while (!wal.should_compact()) ASSERT_TRUE(put());
+
+  storage.fail_snapshot_writes = true;
+  ASSERT_FALSE(wal.compact(kv, /*version=*/1).is_ok());
+  EXPECT_EQ(wal.compactions(), 0u);
+  const std::uint64_t rotations = wal.segments_rotated();
+  while (wal.segments_rotated() == rotations) {
+    EXPECT_FALSE(wal.should_compact()) << "retried before the next rotation";
+    ASSERT_TRUE(put());
+  }
+  EXPECT_TRUE(wal.should_compact());
+
+  storage.fail_snapshot_writes = false;
+  ASSERT_TRUE(wal.compact(kv, /*version=*/2).is_ok());
+  EXPECT_FALSE(wal.should_compact());
+  KvStore restored;
+  ASSERT_TRUE(wal.replay(restored, /*snapshot_version=*/2).is_ok());
+  EXPECT_EQ(restored.size(), kv.size());
 }
 
 TEST(Wal, TamperedRecordFailsReplay) {
