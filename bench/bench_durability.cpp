@@ -7,7 +7,7 @@
 //
 //  1. Group-commit amortization: entries per second sealing 1-entry records
 //     (a commit per write) versus 16-entry records (the batch-flush-aligned
-//     group commit ReplicaNode actually runs). One record = one nonce, one
+//     group commit a replica's Durability runs). One record = one nonce, one
 //     ChaCha20 pass, one MAC, one storage append — grouping amortizes every
 //     per-record fixed cost. Gated as a same-run, machine-relative ratio
 //     with a hard floor.
@@ -25,7 +25,7 @@
 //  4. Compaction write amplification: snapshot bytes resealed per log byte
 //     written, in steady state, with default WalOptions and perfbench's
 //     sealed-4k store (1,024 keys x 4 KiB), compacting whenever
-//     should_compact() says so, as ReplicaNode does. An exact byte count,
+//     should_compact() says so, as Durability does. An exact byte count,
 //     not a timing, so it is gated with a hard ceiling of 1.5 (a trigger
 //     of every compact_segments segments reads ~4 on this store, and more
 //     on a bigger one).

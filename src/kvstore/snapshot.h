@@ -15,7 +15,8 @@
 //
 // This layer is tee-agnostic on purpose: it takes the sealing key and the
 // expected version as parameters so kvstore/ keeps no dependency on tee/.
-// ReplicaNode::seal_snapshot()/restore_snapshot() bind the two together.
+// recipe::Durability::seal_snapshot()/restore_snapshot() bind the two
+// together.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "crypto/chacha20.h"
 #include "kvstore/snapshot.h"
@@ -33,6 +34,59 @@ crypto::SymmetricKey derive_subkey(const crypto::SymmetricKey& sealing_key,
   return crypto::SymmetricKey{crypto::hkdf_sha256(
       sealing_key.view(), as_view(salt), as_view(purpose),
       crypto::kSymmetricKeySize)};
+}
+
+// Appends HMAC(key, everything written so far): the trailer of every sealed
+// record, clean marker and vault blob.
+void append_mac(Writer& w, const crypto::SymmetricKey& key) {
+  const crypto::Mac mac = crypto::hmac_sha256(key.view(), as_view(w.buffer()));
+  w.raw(BytesView(mac.data(), mac.size()));
+}
+
+// The payload of a blob sealed by append_mac(), authenticated BEFORE any
+// field of it is parsed: the host writes every byte, so a forged length or
+// count must never size an allocation or steer the parse.
+Result<BytesView> authenticated(BytesView sealed,
+                                const crypto::SymmetricKey& key) {
+  if (sealed.size() < crypto::kMacSize) {
+    return Status::error(ErrorCode::kAuthFailed, "truncated sealed blob");
+  }
+  const BytesView payload = sealed.first(sealed.size() - crypto::kMacSize);
+  if (!crypto::hmac_verify(key.view(), payload,
+                           sealed.last(crypto::kMacSize))) {
+    return Status::error(ErrorCode::kAuthFailed, "sealed blob MAC mismatch");
+  }
+  return payload;
+}
+
+// One segment record as stored: [magic | segment id u64 | record index u32 |
+// entry count u32 | ciphertext | HMAC over everything before it].
+struct SealedRecord {
+  std::uint64_t segment{0};
+  std::uint32_t index{0};
+  std::uint32_t count{0};
+  Bytes body;
+  BytesView macd;  // header + ciphertext: what the MAC covers
+  Bytes mac;
+};
+
+// Structural parse of the record at `r`'s position in `data`; nullopt on a
+// torn or malformed record. Authenticates nothing.
+std::optional<SealedRecord> next_record(Reader& r, BytesView data) {
+  const std::size_t start = data.size() - r.remaining();
+  const auto magic = r.u32();
+  const auto segment = r.u64();
+  const auto index = r.u32();
+  const auto count = r.u32();
+  auto body = r.bytes();
+  const std::size_t end = data.size() - r.remaining();
+  auto mac = r.raw(crypto::kMacSize);
+  if (!magic || *magic != kWalRecordMagic || !segment || !index || !count ||
+      !body || !mac) {
+    return std::nullopt;
+  }
+  return SealedRecord{*segment, *index, *count, std::move(*body),
+                      data.subspan(start, end - start), std::move(*mac)};
 }
 
 }  // namespace
@@ -267,19 +321,7 @@ void Wal::scan_existing_segments() {
     sealed_bytes_ += data.value().size();
     std::uint32_t records = 0;
     Reader r(as_view(data.value()));
-    while (!r.exhausted()) {
-      const auto magic = r.u32();
-      const auto rec_seg = r.u64();
-      const auto rec_index = r.u32();
-      const auto count = r.u32();
-      auto body = r.bytes();
-      const auto mac = r.raw(crypto::kMacSize);
-      if (!magic || *magic != kWalRecordMagic || !rec_seg || !rec_index ||
-          !count || !body || !mac) {
-        break;
-      }
-      ++records;
-    }
+    while (!r.exhausted() && next_record(r, as_view(data.value()))) ++records;
     if (records > 0) segment_records_[seg_id] = records;
   }
 }
@@ -323,9 +365,7 @@ Result<std::size_t> Wal::commit() {
   record.u32(record_index_);
   record.u32(static_cast<std::uint32_t>(entries));
   record.bytes(as_view(body));
-  const crypto::Mac mac =
-      crypto::hmac_sha256(record_key_.view(), as_view(record.buffer()));
-  record.raw(BytesView(mac.data(), mac.size()));
+  append_mac(record, record_key_);
 
   const Bytes wire = std::move(record).take();
   if (auto s = storage_.append_segment(segment_id_, as_view(wire));
@@ -419,42 +459,30 @@ Result<WalReplay> Wal::replay(KvStore& kv, std::uint64_t snapshot_version,
     Reader r(as_view(data.value()));
     std::uint32_t expected_index = 0;
     while (!r.exhausted()) {
-      const auto magic = r.u32();
-      const auto rec_seg = r.u64();
-      const auto rec_index = r.u32();
-      const auto count = r.u32();
-      auto body = r.bytes();
-      const auto mac = r.raw(crypto::kMacSize);
-      if (!magic || *magic != kWalRecordMagic || !rec_seg || !rec_index ||
-          !count || !body || !mac) {
+      auto record = next_record(r, as_view(data.value()));
+      if (!record) {
         return Status::error(ErrorCode::kAuthFailed,
                              "torn or malformed WAL record");
       }
-      // Authenticate before trusting anything. Rebuild the MAC'd prefix the
-      // writer produced (header + ciphertext).
-      Writer prefix(body->size() + 32);
-      prefix.u32(*magic);
-      prefix.u64(*rec_seg);
-      prefix.u32(*rec_index);
-      prefix.u32(*count);
-      prefix.bytes(as_view(*body));
-      if (!crypto::hmac_verify(record_key_.view(), as_view(prefix.buffer()),
-                               as_view(*mac))) {
+      // Authenticate before trusting anything.
+      if (!crypto::hmac_verify(record_key_.view(), record->macd,
+                               as_view(record->mac))) {
         return Status::error(ErrorCode::kAuthFailed, "WAL record MAC mismatch");
       }
       // The authenticated header must match where the record actually sits:
       // a valid record copied into another segment or position is an attack.
-      if (*rec_seg != seg_id || *rec_index != expected_index) {
+      if (record->segment != seg_id || record->index != expected_index) {
         return Status::error(ErrorCode::kAuthFailed,
                              "WAL record out of place");
       }
       ++expected_index;
 
-      const auto nonce = crypto::make_channel_nonce(*rec_seg, *rec_index);
-      crypto::chacha20_xor(record_key_.view(), nonce, 0, *body);
+      const auto nonce =
+          crypto::make_channel_nonce(record->segment, record->index);
+      crypto::chacha20_xor(record_key_.view(), nonce, 0, record->body);
 
-      Reader er(as_view(*body));
-      for (std::uint32_t i = 0; i < *count; ++i) {
+      Reader er(as_view(record->body));
+      for (std::uint32_t i = 0; i < record->count; ++i) {
         auto key = er.str();
         auto value = er.bytes();
         auto ts_counter = er.u64();
@@ -504,9 +532,7 @@ Status Wal::write_clean_marker(std::uint64_t marker_version,
     w.u32(records);
   }
   w.bytes(as_view(enclave_state));
-  const crypto::Mac mac =
-      crypto::hmac_sha256(meta_key_.view(), as_view(w.buffer()));
-  w.raw(BytesView(mac.data(), mac.size()));
+  append_mac(w, meta_key_);
   return storage_.put_blob(kMarkerBlob, as_view(std::move(w).take()));
 }
 
@@ -514,8 +540,9 @@ Result<CleanMarker> Wal::read_clean_marker(
     std::uint64_t expected_version) const {
   auto blob = storage_.read_blob(kMarkerBlob);
   if (!blob) return blob.status();
-  const Bytes& sealed = blob.value();
-  Reader r(as_view(sealed));
+  auto payload = authenticated(as_view(blob.value()), meta_key_);
+  if (!payload) return payload.status();
+  Reader r(payload.value());
   const auto magic = r.u32();
   const auto marker_version = r.u64();
   const auto snapshot_version = r.u64();
@@ -524,24 +551,18 @@ Result<CleanMarker> Wal::read_clean_marker(
       !snapshot_version || !segment_count) {
     return Status::error(ErrorCode::kAuthFailed, "malformed clean marker");
   }
-  SegmentManifest segments;
-  segments.reserve(*segment_count);
+  CleanMarker out;
   for (std::uint32_t i = 0; i < *segment_count; ++i) {
     const auto seg_id = r.u64();
     const auto records = r.u32();
     if (!seg_id || !records) {
       return Status::error(ErrorCode::kAuthFailed, "malformed clean marker");
     }
-    segments.emplace_back(*seg_id, *records);
+    out.segments.emplace_back(*seg_id, *records);
   }
   auto enclave_state = r.bytes();
-  const auto mac = r.raw(crypto::kMacSize);
-  if (!enclave_state || !mac || r.remaining() != 0) {
+  if (!enclave_state || !r.exhausted()) {
     return Status::error(ErrorCode::kAuthFailed, "malformed clean marker");
-  }
-  const BytesView macd(sealed.data(), sealed.size() - crypto::kMacSize);
-  if (!crypto::hmac_verify(meta_key_.view(), macd, as_view(*mac))) {
-    return Status::error(ErrorCode::kAuthFailed, "clean marker MAC mismatch");
   }
   // Rollback pin: only the marker written at the hardware counter's CURRENT
   // value vouches for a clean shutdown. The counter moves on the warm
@@ -553,10 +574,8 @@ Result<CleanMarker> Wal::read_clean_marker(
         "clean marker version " + std::to_string(*marker_version) +
             " != hardware counter " + std::to_string(expected_version));
   }
-  CleanMarker out;
   out.marker_version = *marker_version;
   out.snapshot_version = *snapshot_version;
-  out.segments = std::move(segments);
   out.enclave_state = std::move(*enclave_state);
   return out;
 }
@@ -597,9 +616,7 @@ void CounterVault::persist_locked() {
     w.u64(cq);
     w.u64(horizon);
   }
-  const crypto::Mac mac =
-      crypto::hmac_sha256(meta_key_.view(), as_view(w.buffer()));
-  w.raw(BytesView(mac.data(), mac.size()));
+  append_mac(w, meta_key_);
   // A failed horizon write is survivable: the in-memory counters stay
   // correct, and a restart merely fast-forwards from an older horizon.
   (void)storage_.put_blob(kVaultBlob, as_view(std::move(w).take()));
@@ -610,16 +627,12 @@ std::unordered_map<ChannelId, Counter> CounterVault::load() const {
   std::unordered_map<ChannelId, Counter> out;
   auto blob = storage_.read_blob(kVaultBlob);
   if (!blob) return out;
-  const Bytes& sealed = blob.value();
-  if (sealed.size() < crypto::kMacSize) return out;
-  Reader r(as_view(sealed));
+  auto payload = authenticated(as_view(blob.value()), meta_key_);
+  if (!payload) return out;
+  Reader r(payload.value());
   const auto magic = r.u32();
   const auto count = r.u32();
   if (!magic || *magic != kWalVaultMagic || !count) return out;
-  const BytesView macd(sealed.data(), sealed.size() - crypto::kMacSize);
-  const BytesView mac(sealed.data() + sealed.size() - crypto::kMacSize,
-                      crypto::kMacSize);
-  if (!crypto::hmac_verify(meta_key_.view(), macd, mac)) return out;
   for (std::uint32_t i = 0; i < *count; ++i) {
     const auto cq = r.u64();
     const auto horizon = r.u64();

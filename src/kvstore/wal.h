@@ -203,7 +203,8 @@ class Wal {
   // Compaction: seals the FULL store state as snapshot `version` (reserved
   // from the hardware counter by the caller) and deletes every sealed
   // segment — their entries are all covered by the snapshot. Runs on the
-  // caller's thread (ReplicaNode calls it inline on its loop).
+  // caller's thread (recipe::Durability calls it inline on the replica's
+  // loop).
   Status compact(const KvStore& kv, std::uint64_t version);
 
   // Version of the stored compacted snapshot: what this instance last wrote,

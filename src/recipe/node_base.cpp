@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "kvstore/snapshot.h"
 #include "obs/flight_recorder.h"
 
 namespace recipe {
@@ -20,28 +19,19 @@ ReplicaNode::ReplicaNode(sim::Clock& clock, net::Transport& network,
                  send_batch(peer, std::move(body));
                }),
       kv_(options_.kv_config),
+      durability_(options_.self, options_.enclave, options_.secured,
+                  options_.wal_storage, options_.wal, kv_, options_.metrics),
       trusted_clock_(clock),
       failure_detector_(trusted_clock_, options_.suspect_timeout,
                         options_.suspect_timeout / 4),
       phi_detector_(options_.phi) {
-  // Durability seam first: the security policy captures the vault pointer,
-  // so the vault (whose horizons are monotone across every restart) must
-  // outlive and precede it.
-  if (options_.wal_storage != nullptr && options_.secured &&
-      options_.enclave != nullptr) {
-    if (auto key = options_.enclave->sealing_key()) {
-      counter_vault_ = std::make_unique<kv::CounterVault>(
-          *options_.wal_storage, key.value(), options_.counter_stride);
-    }
-    reopen_wal();
-  }
   RecipeSecurity* recipe_security = nullptr;
   if (options_.secured) {
     assert(options_.enclave != nullptr && "secured mode requires an enclave");
     RecipeSecurityConfig config;
     config.confidentiality = options_.confidentiality;
     config.working_set = [this] { return enclave_working_set(); };
-    config.counter_vault = counter_vault_.get();
+    config.counter_vault = durability_.counter_vault();
     auto security = std::make_unique<RecipeSecurity>(
         *options_.enclave, options_.self, options_.cost_model,
         &network_.cpu(options_.self), config);
@@ -56,11 +46,6 @@ ReplicaNode::ReplicaNode(sim::Clock& clock, net::Transport& network,
     // Cell-backed handles for the hot sites instrumented in this file.
     rpc_requests_ = m.counter("recipe_rpc_requests_total");
     rpc_timeouts_ = m.counter("recipe_rpc_timeouts_total");
-    wal_entries_ = m.counter("recipe_wal_entries_total");
-    wal_group_commits_ = m.counter("recipe_wal_group_commits_total");
-    wal_commit_failures_ = m.counter("recipe_wal_commit_failures_total");
-    wal_compactions_ = m.counter("recipe_wal_compactions_total");
-    wal_commit_us_ = m.histogram("recipe_wal_commit_us");
     apply_us_ = m.histogram("recipe_node_apply_us");
     // Read-callbacks over state the node already counts.
     auto counter = [&](const char* name, auto read) {
@@ -68,10 +53,6 @@ ReplicaNode::ReplicaNode(sim::Clock& clock, net::Transport& network,
     };
     counter("recipe_node_committed_ops_total",
             [this] { return committed_ops(); });
-    counter("recipe_node_snapshot_rollback_rejected_total",
-            [this] { return snapshot_rollback_rejected(); });
-    counter("recipe_node_snapshot_corrupt_total",
-            [this] { return snapshot_corrupt(); });
     counter("recipe_node_fd_suspicions_total", [this] {
       return fd_suspicions_.load(std::memory_order_relaxed);
     });
@@ -122,16 +103,9 @@ ReplicaNode::ReplicaNode(sim::Clock& clock, net::Transport& network,
     if (!env) return;  // drop: unauthenticated / replayed / malformed
     if (!env.value().batch) return;  // single frame re-typed as a batch
     dispatch_batch(env.value(), ctx);
-    // Strict-order mode: futures promoted by this batch. Batch futures are
-    // dispatchable; a promoted SINGLE frame's rpc type is unrecoverable here
-    // (it lives outside the shielded frame) so it must be dropped, exactly
-    // as the pre-batching code lost it to the wrong type's handler.
-    for (VerifiedEnvelope& ready : security_->drain_ready()) {
-      if (ready.batch) dispatch_batch(ready, ctx);
-    }
     // Group commit aligned to the batch-flush boundary: ONE WAL commit
     // record covers every entry this batch applied.
-    wal_group_commit();
+    durability_.group_commit();
   });
 
   on(msg::kClientRequest, [this](VerifiedEnvelope& env,
@@ -280,7 +254,7 @@ void ReplicaNode::start_as_shadow() {
   // counter advance BURNS any stale clean marker (a marker from an older
   // incarnation must never validate against a node that crashed since), and
   // new segment ids stay strictly above every id any incarnation used.
-  reopen_wal();
+  durability_.reopen();
   network_.recover(options_.self);
   // The restarted enclave lost every channel: replay windows, strict-order
   // state, cached contexts. Receive-side state must start fresh with it.
@@ -354,7 +328,7 @@ void ReplicaNode::on(rpc::RequestType type, EnvelopeHandler handler) {
     if (env.value().batch) return;  // batch frames only enter via msg::kBatch
     dispatch_request(type, env.value(), ctx);
     // Unbatched frames form their own (singleton) commit group.
-    wal_group_commit();
+    durability_.group_commit();
   });
 }
 
@@ -366,16 +340,6 @@ void ReplicaNode::dispatch_request(rpc::RequestType type, VerifiedEnvelope& env,
   current_op_rpc_id_ = ctx.rpc_id;
   it->second(env, ctx);
   current_op_rpc_id_ = prev_op;
-  // Strict-order mode may have unblocked buffered futures. A promoted future
-  // can itself be a batch frame — route it through the batch dispatcher, not
-  // the triggering type's handler.
-  for (VerifiedEnvelope& ready : security_->drain_ready()) {
-    if (ready.batch) {
-      dispatch_batch(ready, ctx);
-    } else {
-      it->second(ready, ctx);
-    }
-  }
 }
 
 void ReplicaNode::dispatch_batch(VerifiedEnvelope& env,
@@ -515,7 +479,7 @@ void ReplicaNode::send_to(NodeId peer, rpc::RequestType type, BytesView payload,
       if (pending.handler) pending.handler(env.value());
       // Response continuations apply writes too (quorum phase-2, state
       // chunks): the delivery is its own commit group.
-      wal_group_commit();
+      durability_.group_commit();
     };
     timeout_wrapped = [this, rpc_id, cb = std::move(on_timeout)] {
       response_handlers_.erase(rpc_id);
@@ -595,11 +559,8 @@ bool ReplicaNode::kv_write(std::string_view key, BytesView value,
   const std::uint64_t t0 = timed ? obs::FlightRecorder::now_ns() : 0;
   const bool applied = kv_.write(key, value, ts);
   // Every APPLIED write is logged; the group boundary (one commit record per
-  // dispatched message/batch) is drawn by wal_group_commit().
-  if (applied && wal_ != nullptr) {
-    wal_->append(key, value, ts);
-    wal_entries_.inc();
-  }
+  // dispatched message/batch) is drawn by Durability::group_commit().
+  if (applied) durability_.log(key, value, ts);
   if (timed) {
     const std::uint64_t t1 = obs::FlightRecorder::now_ns();
     apply_us_.record((t1 - t0) / 1000);
@@ -756,205 +717,24 @@ void ReplicaNode::run_catch_up_pass(
   });
 }
 
-Result<Bytes> ReplicaNode::seal_snapshot() {
-  if (options_.enclave == nullptr) {
-    return Status::error(ErrorCode::kInternal, "sealing requires an enclave");
-  }
-  auto key = options_.enclave->sealing_key();
-  if (!key) return key.status();
-  auto version = options_.enclave->advance_snapshot_version();
-  if (!version) return version.status();
-  return kv::seal_snapshot(kv_, key.value(), version.value());
-}
-
-Result<std::size_t> ReplicaNode::restore_snapshot(BytesView sealed) {
-  if (options_.enclave == nullptr) {
-    return Status::error(ErrorCode::kInternal, "sealing requires an enclave");
-  }
-  auto key = options_.enclave->sealing_key();
-  if (!key) return key.status();
-  auto version = options_.enclave->snapshot_version();
-  if (!version) return version.status();
-  auto restored =
-      kv::unseal_snapshot(sealed, key.value(), version.value(), kv_);
-  if (!restored) {
-    if (restored.status().code() == ErrorCode::kRollback) {
-      ++snapshot_rollback_rejected_;
-    } else {
-      // Tampered/truncated blob: noticed, pinned, and (in the rejoin
-      // driver) degraded to a cold rejoin rather than treated as fatal.
-      ++snapshot_corrupt_;
-    }
-    return restored.status();
-  }
-  // Snapshot entries entered the store OUTSIDE the logged apply path: a
-  // clean shutdown must compact before its marker covers this baseline.
-  if (wal_ != nullptr && restored.value().installed > 0) {
-    wal_baseline_dirty_ = true;
-  }
-  return restored.value().installed;
-}
-
-void ReplicaNode::reopen_wal() {
-  wal_.reset();
-  // Mirror the constructor's gate: an unsecured node must never grow a WAL
-  // on a restart path (warm restart is meaningless without the shielded
-  // channel machinery, and has_wal() feeds the rejoin driver's decision).
-  if (options_.wal_storage == nullptr || !options_.secured ||
-      options_.enclave == nullptr) {
-    return;
-  }
-  auto key = options_.enclave->sealing_key();
-  auto epoch = options_.enclave->advance_snapshot_version();
-  if (!key || !epoch) return;  // crashed enclave: no WAL this incarnation
-  wal_ = std::make_unique<kv::Wal>(*options_.wal_storage, key.value(),
-                                   epoch.value(), options_.wal);
-}
-
-void ReplicaNode::wal_group_commit() {
-  if (wal_ == nullptr || wal_->pending_entries() == 0) return;
-  const std::size_t pending = wal_->pending_entries();
-  const bool timed =
-      bool(wal_commit_us_) || obs::FlightRecorder::global().enabled();
-  const std::uint64_t t0 = timed ? obs::FlightRecorder::now_ns() : 0;
-  const bool committed = bool(wal_->commit());
-  if (timed) {
-    const std::uint64_t t1 = obs::FlightRecorder::now_ns();
-    wal_commit_us_.record((t1 - t0) / 1000);
-    obs::FlightRecorder::global().record(obs::SpanKind::kWalGroupCommit,
-                                         /*rpc_id=*/0, options_.self.value, t0, t1,
-                                         /*detail=*/pending);
-  }
-  // Commit failure only costs warm-restart eligibility (the entries are
-  // already applied and replicated); the node keeps serving. But the store
-  // now holds state the log missed, so the baseline is dirty until a
-  // compaction reseals the full store — otherwise a later clean marker
-  // would vouch for a log with a silent hole in it.
-  if (!committed) {
-    wal_commit_failures_.inc();
-    wal_baseline_dirty_ = true;
-    if (wal_->seq_exhausted()) {
-      // Per-epoch segment sequence space ran out: reopen under a freshly
-      // reserved boot epoch rather than ever wrapping into nonce reuse.
-      reopen_wal();
-    }
-    return;
-  }
-  wal_group_commits_.inc();
-  // The Wal owns the trigger (sealed log bytes vs. the last snapshot's size,
-  // an O(1) check) and its retry backoff.
-  if (!wal_->should_compact()) return;
-  if (auto version = options_.enclave->advance_snapshot_version()) {
-    if (wal_->compact(kv_, version.value()).is_ok()) {
-      wal_compactions_.inc();
-      wal_baseline_dirty_ = false;  // the compacted snapshot covers the store
-    }
-  }
-}
-
 Status ReplicaNode::shutdown_clean() {
-  if (wal_ == nullptr || options_.enclave == nullptr) {
-    stop();
-    return Status::error(ErrorCode::kUnavailable,
-                         "no WAL: clean shutdown is a plain stop");
-  }
-  // Flush the group-commit tail so the log covers every applied write.
-  if (auto committed = wal_->commit(); !committed) {
-    stop();
-    return committed.status();
-  }
-  // State that bypassed the log (a sealed-snapshot restore during a cold
-  // rejoin) is only covered once compacted into the WAL's own snapshot.
-  if (wal_baseline_dirty_) {
-    if (auto version = options_.enclave->advance_snapshot_version()) {
-      if (wal_->compact(kv_, version.value()).is_ok()) {
-        wal_baseline_dirty_ = false;
-      }
-    }
-  }
-  if (wal_baseline_dirty_) {
-    stop();
-    return Status::error(ErrorCode::kInternal,
-                         "unlogged baseline could not be compacted");
-  }
-  // The marker version IS the hardware rollback counter after this advance:
-  // the next incarnation accepts the marker only while the counter still
-  // holds this exact value, so a re-presented older marker can never pass.
-  auto version = options_.enclave->advance_snapshot_version();
-  if (!version) {
-    stop();
-    return version.status();
-  }
-  auto state = options_.enclave->seal_state(version.value());
-  if (!state) {
-    stop();
-    return state.status();
-  }
-  const Status wrote =
-      wal_->write_clean_marker(version.value(), std::move(state).take());
+  const Status sealed = durability_.shutdown_clean();
   stop();
-  return wrote;
+  return sealed;
 }
 
-Result<ReplicaNode::WarmRestart> ReplicaNode::warm_restart() {
-  if (wal_ == nullptr || options_.enclave == nullptr ||
-      security_ == nullptr || !security_->secured()) {
-    return Status::error(ErrorCode::kUnavailable, "no WAL configured");
-  }
-  tee::Enclave& enclave = *options_.enclave;
-  auto version = enclave.snapshot_version();
-  if (!version) return version.status();
-  // 1. The clean-shutdown marker must pin to the CURRENT hardware counter —
-  //    a crash (no marker) or a replayed older marker fails here and the
-  //    caller falls back to the full attested §3.7 rejoin.
-  auto marker = wal_->read_clean_marker(version.value());
-  if (!marker) return marker.status();
-  // 2. Sealed enclave state: channel secrets + EXACT send counters. After
-  //    this the enclave is provisioned without any CAS round trip.
-  if (Status restored = enclave.restore_state(
-          as_view(marker.value().enclave_state), marker.value().marker_version);
-      !restored.is_ok()) {
-    return restored;
-  }
-  // 3. B.1 vault horizons on top (floors): every counter lands at or past
-  //    its persisted stride, so no nonce from the previous life can repeat
-  //    even for allocations the (group-committed) marker missed.
-  WarmRestart out;
-  if (counter_vault_ != nullptr) {
-    for (const auto& [cq, horizon] : counter_vault_->load()) {
-      (void)enclave.restore_counter_floor(cq, horizon);
-      ++out.counters_restored;
-    }
-  }
-  // 4. Local replay: compacted snapshot baseline + committed segments. The
-  //    marker's authenticated manifest pins the exact segment set and record
-  //    counts, so a log truncated at a record boundary (every surviving MAC
-  //    intact) or stripped of trailing segments fails here and the caller
-  //    runs the cold attested rejoin instead of resuming rolled-back state.
-  auto replayed =
-      wal_->replay(kv_, marker.value().snapshot_version,
-                   &marker.value().segments);
-  if (!replayed) return replayed.status();
-  out.snapshot_entries = replayed.value().snapshot_entries;
-  out.log_entries = replayed.value().log_entries;
-  wal_baseline_dirty_ = false;  // the log covers everything just installed
-  // 5. Burn the marker: the reopen advances the hardware counter, so this
-  //    marker can never validate a SECOND restart (whose sealed counters
-  //    would be stale), then drop the blob outright.
-  reopen_wal();
-  if (wal_ == nullptr) {
-    return Status::error(ErrorCode::kInternal, "WAL reopen failed");
-  }
-  wal_->clear_clean_marker();
-  // 6. Resume ACTIVE. Peers never saw this node die: its send counters
-  //    continued past their strides (forward jumps ≤ K land inside every
-  //    replay window) and its receive windows are rebuilt empty, so no
-  //    fresh-node notice, peer reset, or shadow phase is needed.
+Result<kv::WalReplay> ReplicaNode::warm_restart() {
+  auto replayed = durability_.warm_restart();
+  if (!replayed) return replayed;
+  // Resume ACTIVE. Peers never saw this node die: its send counters
+  // continued past their strides (forward jumps ≤ K land inside every
+  // replay window) and its receive windows are rebuilt empty, so no
+  // fresh-node notice, peer reset, or shadow phase is needed.
   network_.recover(options_.self);
   security_->reset_all();
   shadow_ = false;
   start();
-  return out;
+  return replayed;
 }
 
 bool ReplicaNode::suspected(NodeId peer) const {

@@ -3,8 +3,8 @@
 //
 // It wires together the RPC object, the security policy (Null vs Recipe —
 // the ONLY difference between a native protocol and its R- transform), the
-// partitioned KV store, the client table, the lease-based failure detector,
-// and TEE cost accounting. Protocol subclasses express their logic purely in
+// partitioned KV store and its Durability (sealed WAL, snapshots), the client
+// table, the lease-based failure detector, and TEE cost accounting. Protocol subclasses express their logic purely in
 // terms of on()/send_to()/broadcast()/respond() and the KV wrappers, exactly
 // like Listing 1 in the paper.
 #pragma once
@@ -17,11 +17,11 @@
 
 #include "common/ids.h"
 #include "kvstore/kvstore.h"
-#include "kvstore/wal.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "recipe/batcher.h"
 #include "recipe/client_table.h"
+#include "recipe/durability.h"
 #include "recipe/failure_detector.h"
 #include "recipe/quorum.h"
 #include "recipe/security.h"
@@ -107,9 +107,6 @@ struct ReplicaOptions {
   // outlive the node. Null (default) keeps the purely in-memory node.
   kv::WalStorage* wal_storage = nullptr;
   kv::WalOptions wal{};
-  // B.1 counter-vault stride: sealed horizon rewrites happen once per this
-  // many send-counter allocations.
-  Counter counter_stride = 1024;
 
   // Observability: when set, the node registers its protocol/security/
   // batcher/WAL/RPC series (recipe_node_*, recipe_security_*,
@@ -162,18 +159,13 @@ class ReplicaNode {
   }
   SecurityPolicy& security() { return *security_; }
   MessageBatcher& batcher() { return batcher_; }
-  // Drains every pending batch immediately (latency-sensitive callers).
-  void flush_batches() { batcher_.flush_all(); }
   kv::KvStore& kv() { return kv_; }
   rpc::RpcObject& rpc() { return rpc_; }
   sim::Clock& sim() { return clock_; }
   net::Transport& network() { return network_; }
   const ReplicaOptions& options() const { return options_; }
-
-  // Adjusts the modelled in-enclave message-buffer footprint (batching).
-  void set_msg_buffer_bytes(std::uint64_t bytes) {
-    options_.msg_buffer_bytes = bytes;
-  }
+  // Sealed WAL, counter vault and sealed snapshots (durability.h).
+  Durability& durability() { return durability_; }
 
   // --- Recovery (paper §3.7) ----------------------------------------------
   //
@@ -223,55 +215,21 @@ class ReplicaNode {
   // state-stream fixpoint is enough; Raft waits for log backfill).
   virtual bool shadow_caught_up() const { return true; }
 
-  // --- Sealed snapshots (rollback-protected durability) -------------------
-
-  // Seals the full KV state under the enclave sealing key as the next
-  // hardware-counter version. The blob lives on UNTRUSTED storage.
-  Result<Bytes> seal_snapshot();
-  // Verifies + installs a sealed snapshot. A blob older than the hardware
-  // counter is rejected with ErrorCode::kRollback and pinned in
-  // snapshot_rollback_rejected().
-  Result<std::size_t> restore_snapshot(BytesView sealed);
-  std::uint64_t snapshot_rollback_rejected() const {
-    return snapshot_rollback_rejected_.load(std::memory_order_relaxed);
-  }
-  // Sealed-snapshot restores that failed for a NON-rollback reason (tampered
-  // or truncated blob). The rejoin driver degrades these to a cold rejoin
-  // instead of aborting — the count pins that the corruption was noticed.
-  std::uint64_t snapshot_corrupt() const {
-    return snapshot_corrupt_.load(std::memory_order_relaxed);
-  }
-
-  // --- Sealed group-commit WAL (cheap restart) -----------------------------
+  // --- Cheap restart over the sealed WAL -----------------------------------
   //
-  // With options_.wal_storage set, every applied write is logged under the
-  // sealing key and a clean shutdown leaves a rollback-pinned marker that
-  // lets the NEXT incarnation warm_restart(): replay locally, fast-forward
-  // send counters past their B.1 stride, and resume ACTIVE — zero CAS round
-  // trips, zero peer state-stream entries. A crash leaves no marker, so the
-  // next incarnation takes the full §3.7 attested rejoin.
+  // With options_.wal_storage set, a clean shutdown leaves a rollback-pinned
+  // marker that lets the NEXT incarnation warm_restart(): replay locally,
+  // fast-forward send counters past their B.1 stride, and resume ACTIVE —
+  // zero CAS round trips, zero peer state-stream entries. A crash leaves no
+  // marker, so the next incarnation takes the full §3.7 attested rejoin.
 
-  bool has_wal() const { return wal_ != nullptr; }
-  kv::Wal* wal() { return wal_.get(); }
-  kv::CounterVault* counter_vault() { return counter_vault_.get(); }
-
-  // Orderly shutdown: flushes the group-commit tail, compacts if sealed
-  // snapshot state entered outside the log, seals the enclave's volatile
-  // state (secrets + exact send counters) into the clean marker at a fresh
-  // hardware-counter version, then stop()s. Without a WAL this is stop().
+  // Orderly shutdown: Durability::shutdown_clean() while the enclave still
+  // lives, then stop(). Without a WAL this is stop() plus kUnavailable.
   Status shutdown_clean();
-
-  struct WarmRestart {
-    std::size_t snapshot_entries{0};  // installed from the compacted snapshot
-    std::size_t log_entries{0};       // installed from WAL segments
-    std::size_t counters_restored{0};  // B.1 vault horizons applied
-  };
-  // The cheap-restart fast path, valid only after a clean shutdown: validates
-  // the marker against the hardware rollback counter, restores the sealed
-  // enclave state, floors counters at their vault horizons, replays the WAL
-  // into the KV, burns the marker (reopening reserves a fresh boot epoch),
-  // and resumes ACTIVE. Any failure leaves the caller to run the cold path.
-  Result<WarmRestart> warm_restart();
+  // Durability::warm_restart(), then back on the network with fresh
+  // receive windows, ACTIVE. Any failure leaves the caller to run the cold
+  // path; a node without a WAL always fails with kUnavailable.
+  Result<kv::WalReplay> warm_restart();
 
   // --- Failure detection ---------------------------------------------------
   // Hybrid verdict: trusted-lease floor, gated by the adaptive phi-accrual
@@ -368,8 +326,8 @@ class ReplicaNode {
   void run_catch_up_pass(NodeId peer, std::size_t passes_left,
                          std::size_t total,
                          std::function<void(Result<std::size_t>)> done);
-  // Runs the registered handler for `type` (plus any strict-mode drained
-  // futures); shared by the wire path and the batch dispatcher.
+  // Runs the registered handler for `type`; shared by the wire path and
+  // the batch dispatcher.
   void dispatch_request(rpc::RequestType type, VerifiedEnvelope& env,
                         rpc::RequestContext& ctx);
   // Unpacks a verified batch frame: requests go to their handlers,
@@ -379,15 +337,6 @@ class ReplicaNode {
   void send_batch(NodeId peer, Bytes body);
   VerifiedEnvelope sub_envelope(const VerifiedEnvelope& batch_env,
                                 BytesView payload) const;
-  // (Re)creates the WAL with a boot epoch freshly reserved from the hardware
-  // rollback counter — called at construction and on every restart path, so
-  // segment ids (and with them record nonces) are strictly increasing across
-  // incarnations and any outstanding clean marker is burned.
-  void reopen_wal();
-  // Group commit at a dispatch boundary: one WAL commit record covers every
-  // entry the just-dispatched message/batch applied. Then compacts inline
-  // when the Wal says the sealed log has outgrown the last snapshot.
-  void wal_group_commit();
 
   sim::Clock& clock_;
   net::Transport& network_;
@@ -420,6 +369,7 @@ class ReplicaNode {
   void maybe_probe_rtt(NodeId peer);
   std::unordered_map<rpc::RequestType, EnvelopeHandler> handlers_;
   kv::KvStore kv_;
+  Durability durability_;
   ClientTable client_table_;
   tee::TrustedClock trusted_clock_;
   tee::LeaseFailureDetector failure_detector_;
@@ -441,29 +391,12 @@ class ReplicaNode {
   std::uint64_t synced_max_counter_{0};
   // Relaxed atomics: bumped on the loop thread, read by metrics scrapes
   // (and tests) from any thread.
-  std::atomic<std::uint64_t> snapshot_rollback_rejected_{0};
-  std::atomic<std::uint64_t> snapshot_corrupt_{0};
   std::atomic<std::uint64_t> committed_ops_{0};
   std::atomic<std::uint64_t> fd_suspicions_{0};
-  // Durability (null unless options_.wal_storage is set). The vault outlives
-  // every Wal incarnation: horizons are monotone across restarts.
-  std::unique_ptr<kv::CounterVault> counter_vault_;
-  std::unique_ptr<kv::Wal> wal_;
-  // True when KV state was installed OUTSIDE the logged apply path (a sealed
-  // snapshot restore): the clean-shutdown path must compact before writing
-  // the marker or that baseline would be missing from a replay.
-  bool wal_baseline_dirty_{false};
 
   // --- observability handles (null/no-op when options_.metrics is null) ----
-  // Cell-backed handles are node-owned (NOT owned by wal_/security_) so
-  // increments at commit/append sites never race a WAL reopen.
   obs::Counter rpc_requests_;
   obs::Counter rpc_timeouts_;
-  obs::Counter wal_entries_;
-  obs::Counter wal_group_commits_;
-  obs::Counter wal_commit_failures_;
-  obs::Counter wal_compactions_;
-  obs::Histogram wal_commit_us_;
   obs::Histogram apply_us_;
   // Declared last: read-callbacks (security/batcher/node counters)
   // unregister before anything they read is torn down.

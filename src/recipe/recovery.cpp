@@ -36,22 +36,20 @@ void RejoinDriver::rejoin(RejoinOptions options, Done done) {
   // shutdown the marker validates against the hardware counter, the enclave
   // state (secrets + exact counters) restores from it, and the KV replays
   // locally — zero provisioning round trips, zero peer state-stream entries.
-  // Any failure (crash: no marker; tampered log; rolled-back marker)
-  // degrades to the full sequence below.
-  if (node_.has_wal()) {
-    auto warm = node_.warm_restart();
-    if (warm.is_ok()) {
-      report_.warm_restart = true;
-      report_.snapshot_entries = warm.value().snapshot_entries;
-      report_.wal_entries = warm.value().log_entries;
-      report_.promoted = true;  // resumed ACTIVE, never a shadow
-      finish(report_);
-      return;
-    }
-    // Partial replay may have installed entries before failing: the cold
-    // path must start from the same empty store a reboot leaves behind.
-    node_.wipe_state();
+  // Durability::warm_restart decides; any failure (no WAL; crash: no
+  // marker; tampered log; rolled-back marker) degrades to the full sequence
+  // below.
+  if (auto warm = node_.warm_restart()) {
+    report_.warm_restart = true;
+    report_.snapshot_entries = warm.value().snapshot_entries;
+    report_.wal_entries = warm.value().log_entries;
+    report_.promoted = true;  // resumed ACTIVE, never a shadow
+    finish(report_);
+    return;
   }
+  // Partial replay may have installed entries before failing: the cold
+  // path must start from the same empty store a reboot leaves behind.
+  node_.wipe_state();
   if (cas_ == nullptr) {
     provision_pre_attested();
     return;
@@ -114,14 +112,15 @@ void RejoinDriver::on_provisioned() {
   // storage. A rollback (stale blob) is NOT fatal: the stat is pinned and
   // the stream below rebuilds the state from the live cluster instead.
   if (!options_.sealed_snapshot.empty()) {
-    auto restored = node_.restore_snapshot(as_view(options_.sealed_snapshot));
+    auto restored = node_.durability().restore_snapshot(
+        as_view(options_.sealed_snapshot));
     if (restored.is_ok()) {
       report_.snapshot_entries = restored.value();
     } else if (restored.status().code() == ErrorCode::kRollback) {
       report_.snapshot_rolled_back = true;
     } else {
       // A corrupt blob (bad MAC / truncated) is no more fatal than a stale
-      // one: the node pinned snapshot_corrupt() and the stream below
+      // one: Durability pinned snapshot_corrupt() and the stream below
       // rebuilds the state from the live cluster — a host that damages the
       // snapshot only costs bandwidth, never availability.
       report_.snapshot_corrupt = true;

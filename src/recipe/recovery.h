@@ -58,7 +58,7 @@ struct RejoinReport {
   std::size_t snapshot_entries{0};  // installed from the sealed snapshot
   bool snapshot_rolled_back{false};  // stale blob rejected (stat pinned)
   // Sealed snapshot was corrupt (bad MAC / truncated): degraded to a cold
-  // rejoin, stat pinned in ReplicaNode::snapshot_corrupt().
+  // rejoin, stat pinned in Durability::snapshot_corrupt().
   bool snapshot_corrupt{false};
   std::size_t streamed_entries{0};  // installed by chunked catch-up
   sim::Time attestation_elapsed{0};
@@ -101,10 +101,11 @@ class RejoinDriver {
   // Runs the sequence above; `done` fires with the report (or the first
   // error). One rejoin at a time per driver.
   //
-  // Cheap-restart fast path: when the node has a WAL and the previous
-  // incarnation shut down cleanly, the driver restores everything locally
-  // (ReplicaNode::warm_restart) and SKIPS provisioning and the peer stream
-  // entirely. A crash (no valid marker) takes the full sequence.
+  // Cheap-restart fast path: the driver first tries
+  // ReplicaNode::warm_restart. When the previous incarnation shut down
+  // cleanly over a WAL, that restores everything locally and the driver
+  // SKIPS provisioning and the peer stream entirely. Otherwise (no WAL, a
+  // crash: no valid marker) it takes the full sequence.
   void rejoin(RejoinOptions options, Done done);
 
  private:

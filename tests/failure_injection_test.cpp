@@ -407,6 +407,51 @@ TEST(FailureInjection, DeletedWalSegmentDegradesToColdRejoin) {
   }
 }
 
+// A host that forges the clean marker's segment count must cost the warm
+// path, not the process. The count used to size an allocation before the
+// marker's MAC was checked, so the restart threw std::bad_alloc (aborting a
+// TcpCluster replica's loop thread) on every later restart. The MAC is now
+// checked first and the rejoin degrades to the attested cold path.
+TEST(FailureInjection, ForgedMarkerSegmentCountDegradesToColdRejoin) {
+  typename Cluster<protocols::AbdNode>::Config config;
+  config.with_cas = true;
+  config.durable_wal = true;
+  config.heartbeat_period = 10 * sim::kMillisecond;
+  Cluster<protocols::AbdNode> cluster(config);
+  cluster.build();
+  auto& client = cluster.add_client();
+
+  std::map<std::string, std::string> acked;
+  for (int i = 0; i < 12; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    const std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(cluster.put(client, NodeId{1}, key, value).ok) << key;
+    acked[key] = value;
+  }
+  ASSERT_TRUE(cluster.shutdown_clean(1).is_ok());
+  cluster.run_for(100 * sim::kMillisecond);
+
+  auto* storage = cluster.wal_storage(1);
+  ASSERT_NE(storage, nullptr);
+  Bytes* marker = storage->mutable_blob("wal-marker");
+  ASSERT_NE(marker, nullptr);
+  ASSERT_GE(marker->size(), 24u);
+  for (std::size_t i = 20; i < 24; ++i) (*marker)[i] = 0xFF;
+
+  auto report = cluster.rejoin(1, NodeId{1});
+  ASSERT_TRUE(report.is_ok()) << report.status().message();
+  EXPECT_FALSE(report.value().warm_restart)
+      << "a forged marker must never warm-restart";
+  EXPECT_TRUE(report.value().promoted);
+
+  cluster.run_for(sim::kSecond);
+  for (const auto& [key, value] : acked) {
+    auto got = cluster.node(1).kv().get(key);
+    ASSERT_TRUE(got.is_ok()) << key;
+    EXPECT_EQ(to_string(as_view(got.value().value)), value) << key;
+  }
+}
+
 // --- Consistent-hash routing (Fig. 2 distributed data-store layer)
 // ---------------
 

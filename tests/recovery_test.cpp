@@ -173,22 +173,24 @@ TEST(NodeSnapshot, RollbackAttemptPinsStat) {
   ASSERT_TRUE(cluster.put(client, NodeId{1}, "k", "v1").ok);
 
   auto& node = cluster.node(0);
-  auto old_blob = node.seal_snapshot();
+  auto old_blob = node.durability().seal_snapshot();
   ASSERT_TRUE(old_blob.is_ok());
   ASSERT_TRUE(cluster.put(client, NodeId{1}, "k", "v2").ok);
-  auto new_blob = node.seal_snapshot();
+  auto new_blob = node.durability().seal_snapshot();
   ASSERT_TRUE(new_blob.is_ok());
 
   // Re-feeding the older sealed snapshot is rejected and counted.
-  auto rollback = node.restore_snapshot(as_view(old_blob.value()));
+  auto rollback =
+      node.durability().restore_snapshot(as_view(old_blob.value()));
   ASSERT_FALSE(rollback.is_ok());
   EXPECT_EQ(rollback.status().code(), ErrorCode::kRollback);
-  EXPECT_EQ(node.snapshot_rollback_rejected(), 1u);
+  EXPECT_EQ(node.durability().snapshot_rollback_rejected(), 1u);
 
   // The current snapshot restores (0 strictly-newer entries: state matches).
-  auto current = node.restore_snapshot(as_view(new_blob.value()));
+  auto current =
+      node.durability().restore_snapshot(as_view(new_blob.value()));
   ASSERT_TRUE(current.is_ok());
-  EXPECT_EQ(node.snapshot_rollback_rejected(), 1u);
+  EXPECT_EQ(node.durability().snapshot_rollback_rejected(), 1u);
 }
 
 // --- Full rejoin per protocol ------------------------------------------------
@@ -456,10 +458,10 @@ TEST(Rejoin, StaleSnapshotIsRejectedButRejoinCompletes) {
 
   // Seal v1, then seal a newer version (advancing the hardware counter):
   // the adversary keeps the OLD blob to feed the restarted node.
-  auto stale = cluster.node(1).seal_snapshot();
+  auto stale = cluster.node(1).durability().seal_snapshot();
   ASSERT_TRUE(stale.is_ok());
   ASSERT_TRUE(cluster.put(client, NodeId{1}, "k", "v2").ok);
-  ASSERT_TRUE(cluster.node(1).seal_snapshot().is_ok());
+  ASSERT_TRUE(cluster.node(1).durability().seal_snapshot().is_ok());
 
   cluster.crash(1);
   cluster.run_for(200 * sim::kMillisecond);
@@ -471,7 +473,7 @@ TEST(Rejoin, StaleSnapshotIsRejectedButRejoinCompletes) {
   ASSERT_TRUE(report.is_ok()) << report.status().message();
   EXPECT_TRUE(report.value().snapshot_rolled_back);
   EXPECT_EQ(report.value().snapshot_entries, 0u);
-  EXPECT_EQ(cluster.node(1).snapshot_rollback_rejected(), 1u);
+  EXPECT_EQ(cluster.node(1).durability().snapshot_rollback_rejected(), 1u);
   EXPECT_TRUE(report.value().promoted);
 
   auto got = cluster.node(1).kv().get("k");
@@ -494,7 +496,7 @@ TEST(Rejoin, CurrentSnapshotWarmStart) {
                             "v" + std::to_string(i))
                     .ok);
   }
-  auto blob = cluster.node(1).seal_snapshot();
+  auto blob = cluster.node(1).durability().seal_snapshot();
   ASSERT_TRUE(blob.is_ok());
 
   cluster.crash(1);
@@ -522,7 +524,7 @@ TEST(Rejoin, CorruptSnapshotDegradesToColdRejoin) {
   auto& client = cluster.add_client();
   ASSERT_TRUE(cluster.put(client, NodeId{1}, "k", "v1").ok);
 
-  auto blob = cluster.node(1).seal_snapshot();
+  auto blob = cluster.node(1).durability().seal_snapshot();
   ASSERT_TRUE(blob.is_ok());
   Bytes corrupt = std::move(blob).take();
   corrupt[corrupt.size() / 2] ^= 0x01;  // host bit-rot in the sealed body
@@ -539,7 +541,7 @@ TEST(Rejoin, CorruptSnapshotDegradesToColdRejoin) {
   EXPECT_FALSE(report.value().snapshot_rolled_back);
   EXPECT_EQ(report.value().snapshot_entries, 0u);
   EXPECT_TRUE(report.value().promoted);
-  EXPECT_EQ(cluster.node(1).snapshot_corrupt(), 1u);
+  EXPECT_EQ(cluster.node(1).durability().snapshot_corrupt(), 1u);
 
   auto got = cluster.node(1).kv().get("k");
   ASSERT_TRUE(got.is_ok());
@@ -597,7 +599,7 @@ TEST(Rejoin, CleanShutdownWarmRestartSkipsCasAndPeerStream) {
 
 // An UNSECURED node handed WAL storage must never grow a WAL on any restart
 // path: the warm path is a secured-mode feature (sealed markers, channel
-// counters), and has_wal() feeds the rejoin driver's fast-path decision.
+// counters), and a WAL there would open the rejoin driver's fast path.
 // start_as_shadow() used to reopen the WAL without checking the mode.
 TEST(Rejoin, UnsecuredNodeWithWalStorageNeverWarmRestarts) {
   sim::Simulator simulator;
@@ -614,12 +616,12 @@ TEST(Rejoin, UnsecuredNodeWithWalStorageNeverWarmRestarts) {
   options.wal_storage = &wal_storage;
   options.stack = net::NetStackParams::direct_io_native();
   protocols::AbdNode node(simulator, network, std::move(options));
-  EXPECT_FALSE(node.has_wal());
+  EXPECT_FALSE(node.durability().has_wal());
 
   node.start();
   node.stop();
   node.start_as_shadow();
-  EXPECT_FALSE(node.has_wal());
+  EXPECT_FALSE(node.durability().has_wal());
   auto warm = node.warm_restart();
   ASSERT_FALSE(warm.is_ok());
   EXPECT_EQ(warm.status().code(), ErrorCode::kUnavailable);

@@ -3,6 +3,7 @@
 // marker and the B.1 counter vault.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -515,6 +516,27 @@ TEST(Wal, SequenceExhaustionFailsCommitHard) {
   for (const std::uint64_t id : storage.list_segments()) {
     EXPECT_EQ(id >> 20, 7u) << "segment id bled into the epoch field";
   }
+}
+
+// The marker's MAC is checked before any field is parsed. A forged segment
+// count (bytes 20-23) used to size a reserve() from untrusted bytes, so
+// every later restart threw std::bad_alloc instead of rejoining cold.
+TEST(Wal, ForgedMarkerSegmentCountFailsAuthWithoutThrowing) {
+  MemWalStorage storage;
+  Wal wal(storage, kSealKey, 1);
+  wal.append("a", as_view("1"), ts(1));
+  ASSERT_TRUE(wal.commit().is_ok());
+  ASSERT_TRUE(wal.write_clean_marker(9, to_bytes("state")).is_ok());
+  Bytes* blob = storage.mutable_blob("wal-marker");
+  ASSERT_NE(blob, nullptr);
+  ASSERT_GE(blob->size(), 24u);
+  for (std::size_t i = 20; i < 24; ++i) (*blob)[i] = 0xFF;
+
+  std::optional<Result<CleanMarker>> forged;
+  EXPECT_NO_THROW(forged.emplace(wal.read_clean_marker(9)));
+  ASSERT_TRUE(forged.has_value());
+  ASSERT_FALSE(forged->is_ok());
+  EXPECT_EQ(forged->status().code(), ErrorCode::kAuthFailed);
 }
 
 TEST(Wal, MissingMarkerIsACrash) {
