@@ -58,6 +58,15 @@ void BM_ChaCha20(benchmark::State& state) {
 }
 BENCHMARK(BM_ChaCha20)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The scalar reference core, through the test switch, beside the dispatched
+// core above.
+void BM_ChaCha20Scalar(benchmark::State& state) {
+  crypto::set_chacha20_vector_acceleration(false);
+  BM_ChaCha20(state);
+  crypto::set_chacha20_vector_acceleration(true);
+}
+BENCHMARK(BM_ChaCha20Scalar)->Arg(256)->Arg(1024)->Arg(4096);
+
 void BM_HkdfSha256(benchmark::State& state) {
   const Bytes ikm(32, 0x33);
   for (auto _ : state) {

@@ -3,6 +3,11 @@
 // Used by Recipe's confidentiality mode (Fig. 5): values stored in untrusted
 // host memory and network payloads leaving the enclave are encrypted.
 // Validated against RFC 8439 test vectors in tests/crypto_test.cpp.
+//
+// Whole 512-byte runs go through an eight-block vector core that a one-time
+// CPUID probe picks (AVX2, else baseline x86-64); the portable scalar block
+// function makes the remaining bytes, runs alone on other builds, and is the
+// reference for the vector core.
 #pragma once
 
 #include <array>
@@ -28,6 +33,14 @@ void chacha20_xor(BytesView key, const ChaChaNonce& nonce,
 void chacha20_xor(BytesView key, const ChaChaNonce& nonce,
                   std::uint32_t counter,
                   Bytes& data);
+
+// True when the runtime dispatch selected a vector keystream core.
+bool chacha20_vector_accelerated();
+
+// Test/bench hook: swap between the vector core (when the build has one) and
+// the scalar core, e.g. for differential testing or for measuring the scalar
+// baseline. Process-wide.
+void set_chacha20_vector_acceleration(bool enabled);
 
 // Convenience: returns the transformed copy.
 Bytes chacha20(BytesView key, const ChaChaNonce& nonce, std::uint32_t counter,

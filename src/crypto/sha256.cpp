@@ -380,17 +380,19 @@ void Sha256::update(BytesView data) {
 }
 
 Sha256Digest Sha256::finalize() {
-  const std::uint64_t bits = bit_count_;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(BytesView(&zero, 1));
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
+  // Padding goes straight into the block buffer: 0x80, zeros, and the
+  // big-endian bit length in the last 8 bytes, spilling into a second block
+  // when fewer than 9 bytes are free.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_blocks(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  update(BytesView(len_be, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  store_be32(buffer_.data() + 56, static_cast<std::uint32_t>(bit_count_ >> 32));
+  store_be32(buffer_.data() + 60, static_cast<std::uint32_t>(bit_count_));
+  process_blocks(buffer_.data(), 1);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);

@@ -1,7 +1,7 @@
 // Crypto validation: NIST/RFC test vectors for SHA-256, HMAC-SHA-256, HKDF
 // and ChaCha20, plus DH agreement and DRBG determinism, the streaming Hmac
-// midstate cache, the SHA-NI/scalar differential, and the channel-nonce
-// truncation regression.
+// midstate cache, the SHA-NI/scalar and vector/scalar ChaCha20
+// differentials, and the channel-nonce truncation regression.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -143,6 +143,77 @@ TEST(Sha256, HardwareAndScalarCoresAgree) {
   }
 }
 
+TEST(Sha256, PaddingKnownAnswersAtEveryBufferFill) {
+  // The first 64 bits of SHA-256 over the first n bytes of the pattern
+  // (37 * i + 11) mod 256, for n = 0..130: every fill level of the last
+  // block, with and without a second padding block. Generated with python3:
+  //   p = bytes((37 * i + 11) & 255 for i in range(130))
+  //   [hashlib.sha256(p[:n]).hexdigest()[:16] for n in range(131)]
+  // Both compression cores share finalize(), so the differential test above
+  // cannot catch a padding bug; run the answers through each core.
+  static constexpr const char* kPrefixes[] = {
+      "e3b0c44298fc1c14", "e7cf46a078fed4fa", "cdc63a6325d5fa92",
+      "b39fad1a1075f645", "eedb9976fbc85067", "b0876eace1394020",
+      "801da61dbcec4931", "e759cdfe6d8119af", "ada1a184226d6b2f",
+      "5e0f483e871e0f84", "775297092df92dfd", "08fabd05da8d4962",
+      "dd3fd284d8cc574a", "f9a3612d255e62d4", "66c694f29564ed1b",
+      "09792492cd2b1db9", "cd7d620a0588e54d", "d6ef72ccf1dc07af",
+      "f903fae92d4e901c", "9a20ae798f2ad83b", "74da03933ab6fc62",
+      "90ce7915f1f22d07", "a0407fc482a072d7", "4d556bf9c23323e0",
+      "23c7b48100a14207", "26c285015de52171", "934d8a4d5356f43a",
+      "a05ecc61ba4d7933", "3dc7de8e7e5e2a49", "1a4959dca1af8f26",
+      "c582303daf20ec31", "0cc420417cb6a768", "83b7a8ed859053c8",
+      "e19474c88a4056ba", "9dad872820622ff8", "97b4af583dbc8199",
+      "de547933205679b7", "c33aef5769fc8835", "cc539ac958c16c43",
+      "cfc1ad90c5803aed", "76def75856e5d73e", "c3e0156169b2a775",
+      "602d057fc3af303e", "3396a0e8fca1de6d", "adef897bed495fd4",
+      "20b886fee380b8f6", "5012a47af354ee8d", "4c8c50af87190721",
+      "a6250da1e7ca144a", "d08cf7eb5abf6b84", "32a1cfde77b79bf9",
+      "4eae55438a1f230e", "a200151966c341bc", "a41ad7999ea32fb3",
+      "0b35cded48f54683", "2900465fcb533e05", "31454ff48ef36af2",
+      "bcc0a5d3791b985b", "625f50f0c121a43a", "5a85bd878ca7ff9e",
+      "35d6f8129baac2bc", "de1025bf69990152", "88908d0c7953bf09",
+      "5f6401b96532c36d", "94eb5de4943613fd", "fc518669b6eb4b4d",
+      "65d7b2dbf0f1402f", "1751e734f4b375b9", "82ca07354ec5f5f7",
+      "487875324c347b6b", "54600d51dc1bbf04", "2da56abe0ee37a40",
+      "f1ea2423d41c019f", "d3d699995b8dca50", "085013af5c88bd1b",
+      "bdfbaedb8843d8ed", "afe11f0eeb094a48", "6f01858ea26c3895",
+      "c32a314d01b530f4", "3e4ebacf675f162f", "8afeccf31bf9f73c",
+      "ddae3bfe09abd5af", "87bc08d52cbd1843", "48e6ff5b741939d2",
+      "baa4f92a8a93935d", "aca8968db74fbd68", "d3431be4fd07bc8d",
+      "dd6ac441d2d8e74e", "c51092ae9e5f2311", "9020292550485349",
+      "3851694988980799", "6dd8ebcf9bdae6f5", "2f4ac2663ceea0e9",
+      "f56327665603462d", "eeb364ed535ddee1", "47b36f08053588e6",
+      "88e785f8ea2039c6", "60919a22a1cff77e", "4169a946e6e90dc9",
+      "de7c1ec4aa814a4b", "5fb5d4b7ace49f5e", "ef70de4d49e091d7",
+      "ad2bfc2ba2bacc49", "9ae38e0d0111478e", "76701c4459d8d58f",
+      "70ef868078a5640f", "237384e7b0fded9f", "f3d5506a70f4dbf9",
+      "0c0f21f9639bdc24", "dffe27d7c312f2e6", "65a81a885728692a",
+      "aeca4f5a02aead30", "cec7a189fcea0a38", "cf1a963953155c44",
+      "2ebc22005dfccb2a", "cd738c4986011502", "fb1b5da476c8834f",
+      "ae8dd3e46094282f", "f3283313d4f923cd", "b0dc41b1a384e2f1",
+      "5df24dd802ac2613", "5ed5a129bb49444f", "8419642ca144c433",
+      "b9b8bc6127b8c9e1", "3dc980ced4e46879", "7e4f5abad35b869c",
+      "8513afe4abd1c76b", "0fe729ff19257bd6", "0aedd4856f8eba09",
+      "4f1757ae4bffbae8", "d35b74124cb85cfa",
+  };
+  Bytes pattern(130);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(37 * i + 11);
+  }
+  const bool hardware = Sha256::hardware_accelerated();
+  for (const bool use_hardware : {true, false}) {
+    if (use_hardware && !hardware) continue;
+    Sha256::set_hardware_acceleration(use_hardware);
+    for (std::size_t n = 0; n <= pattern.size(); ++n) {
+      const Sha256Digest d = Sha256::hash(BytesView(pattern.data(), n));
+      EXPECT_EQ(to_hex(BytesView(d.data(), 8)), kPrefixes[n])
+          << "len=" << n << " hardware=" << use_hardware;
+    }
+  }
+  Sha256::set_hardware_acceleration(true);
+}
+
 TEST(Hmac, StreamingMidstatesMatchOneShot) {
   const Bytes key = to_bytes("channel-key-material");
   const Hmac hmac(as_view(key));
@@ -269,6 +340,71 @@ TEST(ChaCha20, RawPointerRegionMatchesBytesOverload) {
             whole.begin() + 7 + static_cast<std::ptrdiff_t>(region.size())),
       region);
   EXPECT_EQ(to_string(BytesView(whole.data(), 7)), "prefix|");
+}
+
+TEST(ChaCha20, Rfc8439KeyFourKibKnownAnswer) {
+  // 4,096 bytes of keystream (64 blocks: eight vector steps) under the
+  // RFC 8439 section 2.4.2 key and nonce at counter 1. Generated with
+  // python3 `cryptography` 48.0.0, whose ChaCha20 takes counter || nonce as
+  // one 16-byte nonce: the SHA-256 of the output and its first and last
+  // 16 bytes (the first is RFC 8439's own block at counter 1).
+  const Bytes key = from_hex(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  ChaChaNonce nonce{};
+  const Bytes nonce_bytes = from_hex("000000000000004a00000000");
+  std::copy(nonce_bytes.begin(), nonce_bytes.end(), nonce.begin());
+  const Bytes zeros(4096, 0);
+  for (const bool vector : {true, false}) {
+    set_chacha20_vector_acceleration(vector);
+    const Bytes out = chacha20(as_view(key), nonce, 1, as_view(zeros));
+    EXPECT_EQ(to_hex(BytesView(out.data(), 16)),
+              "224f51f3401bd9e12fde276fb8631ded")
+        << "vector=" << vector;
+    EXPECT_EQ(to_hex(BytesView(out.data() + out.size() - 16, 16)),
+              "e00d5a322ccbc5d08df5e298ee82819c")
+        << "vector=" << vector;
+    EXPECT_EQ(hex_of(Sha256::hash(as_view(out))),
+              "03e37045b672bfe4c0c0265ac4ea21d5"
+              "1eda7e5de4f812ecc13bbdeaf7c9fa41")
+        << "vector=" << vector;
+  }
+  set_chacha20_vector_acceleration(true);
+}
+
+TEST(ChaCha20, VectorAndScalarCoresAgree) {
+  // Differential test of the eight-block core against the scalar reference.
+  // Lengths 0-2,100 take zero to four vector steps plus every tail; start
+  // offsets inside a larger buffer make loads and stores unaligned; every
+  // other case starts within 8 blocks of 2^32, so the counter wraps inside
+  // one step and must not carry into the nonce. Bytes around the region must
+  // stay untouched.
+  if (!chacha20_vector_accelerated()) {
+    GTEST_SKIP() << "no vector ChaCha20 core in this build";
+  }
+  std::mt19937_64 rng(42);
+  for (int iter = 0; iter < 2000; ++iter) {
+    Bytes key(kChaChaKeySize);
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng());
+    ChaChaNonce nonce{};
+    for (auto& b : nonce) b = static_cast<std::uint8_t>(rng());
+    const std::uint32_t counter =
+        iter % 2 == 0 ? static_cast<std::uint32_t>(0 - (1 + rng() % 8))
+                      : static_cast<std::uint32_t>(rng());
+    const std::size_t len = rng() % 2101;
+    const std::size_t offset = rng() % 64;
+    Bytes vector_out(offset + len + 64);
+    for (auto& b : vector_out) b = static_cast<std::uint8_t>(rng());
+    Bytes scalar_out = vector_out;
+
+    chacha20_xor(as_view(key), nonce, counter, vector_out.data() + offset,
+                 len);
+    set_chacha20_vector_acceleration(false);
+    chacha20_xor(as_view(key), nonce, counter, scalar_out.data() + offset,
+                 len);
+    set_chacha20_vector_acceleration(true);
+    ASSERT_EQ(vector_out, scalar_out)
+        << "len=" << len << " offset=" << offset << " counter=" << counter;
+  }
 }
 
 // --- Channel nonces ----------------------------------------------------------

@@ -10,6 +10,8 @@
 
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 
 #include "cluster_harness.h"
 #include "cluster/cluster.h"
@@ -656,6 +658,91 @@ TEST(Rejoin, CrashWithWalStillTakesFullAttestedRejoin) {
   EXPECT_EQ(cluster.cas().attestations_served(), attestations + 1)
       << "a crash must re-attest";
   EXPECT_TRUE(cluster.node(1).kv().contains("post-crash"));
+}
+
+// Values of 4 KiB take the eight-block ChaCha20 core through every layer a
+// confidential cold rejoin touches: channel frames, KvStore seal and get,
+// WAL records and the state stream. Values under 512 B never reach it.
+TEST(Rejoin, ConfidentialLargeValuesColdRejoin) {
+  typename Cluster<protocols::ChainNode>::Config config;
+  config.with_cas = true;
+  config.durable_wal = true;
+  config.confidentiality = true;
+  config.heartbeat_period = 10 * sim::kMillisecond;
+  Cluster<protocols::ChainNode> cluster(config);
+  cluster.build();
+  auto& client = cluster.add_client();
+
+  Rng rng(19);
+  std::map<std::string, Bytes> values;
+  for (int i = 0; i < 64; ++i) {
+    Bytes value(4096);
+    for (auto& b : value) b = static_cast<std::uint8_t>(rng.next());
+    const std::string key = "key" + std::to_string(i);
+    ASSERT_TRUE(cluster.put(client, NodeId{1}, key, to_string(as_view(value)))
+                    .ok)
+        << key;
+    values.emplace(key, std::move(value));
+  }
+
+  cluster.crash(1);  // the middle replica
+  cluster.run_for(400 * sim::kMillisecond);  // chain repairs to [1,3]
+  auto report = cluster.rejoin(1, NodeId{1});  // donor: the head
+  ASSERT_TRUE(report.is_ok()) << report.status().message();
+  EXPECT_FALSE(report.value().warm_restart);
+  EXPECT_TRUE(report.value().promoted);
+  EXPECT_GE(report.value().streamed_entries, values.size());
+  cluster.run_for(sim::kSecond);
+
+  // Every value reads back byte-exact, and the store equals the tail's.
+  const auto entries_of = [](const kv::KvStore& store) {
+    std::map<std::string, Bytes> entries;
+    store.scan([&](std::string_view key, const kv::Timestamp&) {
+      auto got = store.get(key);
+      EXPECT_TRUE(got.is_ok()) << key;
+      if (got.is_ok()) entries.emplace(key, got.value().value);
+      return true;
+    });
+    return entries;
+  };
+  kv::KvStore& rejoined = cluster.node(1).kv();
+  const std::map<std::string, Bytes> rejoined_entries = entries_of(rejoined);
+  EXPECT_EQ(rejoined_entries, values);
+  EXPECT_EQ(rejoined_entries, entries_of(cluster.node(2).kv()));
+
+  // The host side holds ciphertext only: no 64-byte window of any plaintext
+  // value appears in the arena, nor in the sealed WAL the rejoin wrote.
+  std::unordered_set<std::string_view> windows;
+  const auto view_of = [](const Bytes& bytes) {
+    return std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                            bytes.size());
+  };
+  for (const auto& [key, value] : values) {
+    for (std::size_t i = 0; i + 64 <= value.size(); ++i) {
+      windows.insert(view_of(value).substr(i, 64));
+    }
+  }
+  const auto expect_no_plaintext = [&](const Bytes& host,
+                                       const std::string& where) {
+    for (std::size_t i = 0; i + 64 <= host.size(); ++i) {
+      ASSERT_FALSE(windows.contains(view_of(host).substr(i, 64)))
+          << where << " offset " << i;
+    }
+  };
+  EXPECT_EQ(rejoined.host_arena().allocations(), values.size());
+  for (const auto& [key, value] : values) {
+    const auto ptr = rejoined.host_ptr(key);
+    ASSERT_TRUE(ptr) << key;
+    expect_no_plaintext(rejoined.host_arena().load(*ptr).value(),
+                        "arena value of " + key);
+  }
+  std::size_t wal_bytes = 0;
+  for (const std::uint64_t id : cluster.wal_storage(1)->list_segments()) {
+    const Bytes segment = cluster.wal_storage(1)->read_segment(id).value();
+    wal_bytes += segment.size();
+    expect_no_plaintext(segment, "WAL segment " + std::to_string(id));
+  }
+  EXPECT_GE(wal_bytes, values.size() * 4096) << "the rejoin logs every value";
 }
 
 // --- Cluster layer: shard-replica replacement --------------------------------
